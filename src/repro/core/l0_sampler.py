@@ -32,11 +32,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..hashing.field import DEFAULT_FIELD
 from ..hashing.kwise import SubsetHash, derive_rngs
 from ..hashing.nisan import NisanPRG
 from ..recovery.syndrome import SyndromeSparseRecovery
 from ..space.accounting import SpaceReport
 from .base import SampleResult, StreamingSampler
+
+#: Updates per fused block: bounds the ``(2s, block)`` power rows and the
+#: stacked fingerprint powers to a few MiB whatever the batch size.
+_FUSED_BLOCK = 8192
 
 
 class L0Sampler(StreamingSampler):
@@ -72,6 +77,9 @@ class L0Sampler(StreamingSampler):
                                    seed=int(rngs[2].integers(2**62)) + level)
             for level in range(self.levels)
         ]
+        # (levels, fingerprints) evaluation points, stacked once so the
+        # fused update raises every level's points in one pass.
+        self._fp_bases = np.stack([rec._fp_points for rec in self._recoveries])
 
     # -- level membership ----------------------------------------------------------
 
@@ -98,7 +106,71 @@ class L0Sampler(StreamingSampler):
     # -- streaming -------------------------------------------------------------------
 
     def update_many(self, indices, deltas) -> None:
-        """Feed updates to every level the coordinates survive to."""
+        """Feed updates to every level the coordinates survive to.
+
+        Fused kernel, byte-identical to :meth:`_reference_update_many`.
+        Levels are nested and share the locators ``a_i = i + 1``, so
+        once a block is sorted deepest-first, level k's members are a
+        prefix of it: its syndrome increments are prefix sums of the
+        ``2s`` power rows ``u * a^j`` (built once per block), and its
+        fingerprint increments come from one stacked power pass over
+        all levels' prefixes.
+        """
+        idx = np.asarray(indices, dtype=np.int64).ravel()
+        if idx.size == 0:
+            return
+        dlt = np.asarray(deltas, dtype=np.int64).ravel()
+        depth = self._survival_depth(idx)
+        for start in range(0, idx.size, _FUSED_BLOCK):
+            block = slice(start, start + _FUSED_BLOCK)
+            self._fused_block(idx[block], dlt[block], depth[block])
+
+    def _fused_block(self, idx, dlt, depth) -> None:
+        p = DEFAULT_FIELD.p
+        order = np.argsort(-depth, kind="stable")
+        idx = idx[order]
+        u = DEFAULT_FIELD.from_signed(dlt[order])
+        # members[k] = updates surviving to level k; the first empty
+        # level ends the walk, exactly as in the reference loop.
+        counts = np.bincount(depth, minlength=self.levels)
+        members = np.cumsum(counts[::-1])[::-1]
+        live = int(np.count_nonzero(members))
+        members = members[:live]
+
+        # Syndromes: S_j += sum u * a^j over each level's prefix.  The
+        # uint64 prefix sums of values < p cannot wrap within a block.
+        locators = (idx + 1).astype(np.uint64)
+        rows = np.empty((self._recoveries[0].syndromes.size, idx.size),
+                        dtype=np.uint64)
+        power = u
+        for j in range(rows.shape[0]):
+            rows[j] = power
+            power = power * locators % p
+        syndrome_totals = np.cumsum(rows, axis=1)[:, members - 1] % p
+
+        # Fingerprints: F_{k,r} += sum u * b_{k,r}^i, every (level,
+        # point) pair raised in one stacked square-and-multiply.
+        starts = np.concatenate(([0], np.cumsum(members)[:-1]))
+        take = np.arange(int(members.sum())) - np.repeat(starts, members)
+        exps = idx[take].astype(np.uint64)
+        acc = np.repeat(self._fp_bases[:live], members, axis=0)
+        powers = np.ones_like(acc)
+        bit = 0
+        while (1 << bit) <= int(exps.max()):
+            odd = ((exps >> np.uint64(bit)) & np.uint64(1)).astype(bool)
+            powers = np.where(odd[:, None], powers * acc % p, powers)
+            acc = acc * acc % p
+            bit += 1
+        contrib = u[take][:, None] * powers % p
+        fp_totals = np.add.reduceat(contrib, starts, axis=0) % p
+
+        for level in range(live):
+            rec = self._recoveries[level]
+            rec.syndromes = (rec.syndromes + syndrome_totals[:, level]) % p
+            rec.fp_values = (rec.fp_values + fp_totals[level]) % p
+
+    def _reference_update_many(self, indices, deltas) -> None:
+        """Per-level oracle for the fused :meth:`update_many`."""
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
             return

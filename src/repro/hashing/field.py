@@ -62,7 +62,16 @@ class PrimeField:
         return _as_u64(values) % self.p
 
     def reduce_signed(self, values) -> np.ndarray:
-        """Reduce possibly-negative Python/numpy integers into the field."""
+        """Reduce possibly-negative Python/numpy integers into the field.
+
+        Integer ndarrays reduce vectorised (unsigned ones without the
+        int64 cast, which would wrap values >= 2**63); anything else,
+        e.g. Python big ints, goes through exact Python arithmetic.
+        """
+        if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+            return self.from_signed(values)
+        if isinstance(values, np.ndarray) and values.dtype.kind == "u":
+            return values.astype(np.uint64) % self.p
         arr = np.asarray(values, dtype=object)
         flat = [v % self._p_int for v in np.ravel(arr)]
         out = np.array(flat, dtype=np.uint64).reshape(np.shape(arr))

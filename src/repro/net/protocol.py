@@ -213,29 +213,34 @@ class FrameDecoder:
             raise self._error
         self._buffer.extend(data)
         frames: list[bytes] = []
+        # Parse in place: only the bounded prelude slice and each
+        # completed frame are ever copied out of the buffer, so a large
+        # frame arriving in many pieces costs linear time.
         while self._buffer:
-            view = bytes(self._buffer)
+            size = len(self._buffer)
+            head = bytes(self._buffer[:_PRELUDE])
             # Short-circuit only while the prefix still looks like a
             # frame: an implausible tail must fall through and raise
             # no matter how short it is (split_frames does).
-            if len(view) < self._need and self._plausible_prefix(view):
+            if size < self._need and self._plausible_prefix(head):
                 break
-            try:
-                total = frame_length(view)
-            except WireError as exc:
-                if self._plausible_prefix(view):
-                    # Incomplete prelude/length: every byte so far was
-                    # consistent with a frame — wait for more.
-                    self._need = len(view) + 1
+            with memoryview(self._buffer) as view:
+                try:
+                    total = frame_length(view)
+                except WireError as exc:
+                    if self._plausible_prefix(head):
+                        # Incomplete prelude/length: every byte so far
+                        # was consistent with a frame — wait for more.
+                        self._need = size + 1
+                        break
+                    self._error = exc
+                    if frames:
+                        return frames
+                    raise
+                if size < total:
+                    self._need = total
                     break
-                self._error = exc
-                if frames:
-                    return frames
-                raise
-            if len(view) < total:
-                self._need = total
-                break
-            frames.append(view[:total])
+                frames.append(bytes(view[:total]))
             del self._buffer[:total]
             self._need = _PRELUDE + 1
         return frames

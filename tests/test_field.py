@@ -93,6 +93,32 @@ class TestSignedEmbedding:
         out = f.reduce_signed(np.array([-1, -18, 16], dtype=np.int64))
         assert out.tolist() == [16, 16, 16]
 
+    def test_reduce_signed_vectorised_matches_python(self):
+        """Integer arrays take the vectorised path; results equal exact
+        Python ``v % p`` at the int64/uint64 extremes, and object
+        arrays of big ints keep the exact path."""
+        f = DEFAULT_FIELD
+        p = int(f.p)
+        signed = [-(2**63), 2**63 - 1, -1, 0, 1, p, -p, p - 1, -(p + 1)]
+        for dtype in (np.int64, np.int32, np.int8):
+            info = np.iinfo(dtype)
+            values = [v for v in signed if info.min <= v <= info.max]
+            out = f.reduce_signed(np.array(values, dtype=dtype))
+            assert out.dtype == np.uint64
+            assert out.tolist() == [v % p for v in values]
+        unsigned = [0, 1, p, 2**63, 2**64 - 1]
+        out = f.reduce_signed(np.array(unsigned, dtype=np.uint64))
+        assert out.tolist() == [v % p for v in unsigned]
+        big = [2**63, -(2**63) - 1, 2**70 + 5, -(2**90)]
+        out = f.reduce_signed(np.array(big, dtype=object))
+        assert out.dtype == np.uint64
+        assert out.tolist() == [v % p for v in big]
+        grid = np.arange(-6, 6, dtype=np.int64).reshape(3, 4)
+        assert f.reduce_signed(grid).shape == (3, 4)
+        assert f.reduce_signed(grid).tolist() == \
+            f.reduce_signed(grid.astype(object)).tolist()
+        assert f.reduce_signed(-5).tolist() == p - 5
+
     def test_to_signed_boundary(self):
         f = PrimeField(17)
         # elements <= 8 stay positive, >= 9 map to negatives

@@ -8,12 +8,16 @@ edge shapes (empty, singleton, duplicate indices, multi-batch
 sequences), plus the underlying primitives: stacked hash families
 against their per-row originals, the counter-RNG block API against the
 per-stream calls, and the flattened-bincount scatter kernel against
-``np.add.at``.
+``np.add.at``.  The paper's L0 sampler (Theorem 2) rides the same
+suite: its fused multi-level update against the per-level loop, in
+both level-derivation modes.
 """
 
 import numpy as np
 import pytest
 
+import repro.core.l0_sampler as l0_module
+from repro.core.l0_sampler import L0Sampler
 from repro.engine import state_arrays
 from repro.hashing.kwise import BucketHash, KWiseHash, SignHash, derive_rngs
 from repro.hashing.prng import CounterRNG
@@ -31,6 +35,9 @@ FUSED_SKETCHES = [
     ("StableSketch", lambda s: StableSketch(UNIVERSE, 0.75, rows=11,
                                             seed=s)),
     ("L0Estimator", lambda s: L0Estimator(UNIVERSE, reps=5, seed=s)),
+    ("L0Sampler-kwise", lambda s: L0Sampler(UNIVERSE, seed=s)),
+    ("L0Sampler-nisan", lambda s: L0Sampler(UNIVERSE, seed=s,
+                                            mode="nisan")),
 ]
 FUSED_IDS = [name for name, _ in FUSED_SKETCHES]
 
@@ -80,6 +87,61 @@ class TestFusedMatchesReference:
                            np.array([], dtype=np.int64))
         for arr, ref in zip(state_arrays(sketch), before):
             assert np.array_equal(arr, ref)
+
+
+def _assert_same_state(mine, theirs):
+    for a, b in zip(state_arrays(mine), state_arrays(theirs)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mode", ["kwise", "nisan"])
+class TestFusedL0Sampler:
+    """The L0 sampler's fused write path: one depth pass, prefix sums
+    over the depth-sorted block, stacked fingerprint powers."""
+
+    def test_depths_reaching_the_last_level(self, mode):
+        """Updates surviving to the deepest level (and a batch whose
+        deepest members sit there alone) take the same path."""
+        indices = np.arange(64, dtype=np.int64)
+        # The first seed whose level sets reach the deepest level.
+        seed = next(s for s in range(100) if np.any(
+            L0Sampler(64, seed=s, mode=mode)._survival_depth(indices)
+            == L0Sampler(64).levels - 1))
+        fused, reference = (L0Sampler(64, seed=seed, mode=mode)
+                            for _ in range(2))
+        depth = fused._survival_depth(indices)
+        deepest = indices[depth == fused.levels - 1]
+        for batch in (deepest, indices, np.repeat(deepest, 3)):
+            deltas = np.arange(1, batch.size + 1, dtype=np.int64)
+            fused.update_many(batch, deltas)
+            reference._reference_update_many(batch, deltas)
+            _assert_same_state(fused, reference)
+        assert fused._recoveries[-1].syndromes.any()
+
+    def test_extreme_deltas_and_cancellation(self, mode):
+        fused, reference = (L0Sampler(UNIVERSE, seed=8, mode=mode)
+                            for _ in range(2))
+        indices = np.array([0, 1, UNIVERSE - 1, 1, 0], dtype=np.int64)
+        deltas = np.array([-(2**63), 2**63 - 1, -1, -(2**63 - 1), 2**63 - 1],
+                          dtype=np.int64)
+        fused.update_many(indices, deltas)
+        reference._reference_update_many(indices, deltas)
+        _assert_same_state(fused, reference)
+
+    def test_block_size_does_not_change_state(self, mode, monkeypatch):
+        """Blocked processing (tiny blocks, ragged tail) == one pass."""
+        rng = np.random.default_rng(12)
+        indices = rng.integers(0, UNIVERSE, size=1000)
+        deltas = rng.integers(-9, 9, size=1000)
+        whole = L0Sampler(UNIVERSE, seed=2, mode=mode)
+        whole.update_many(indices, deltas)
+        monkeypatch.setattr(l0_module, "_FUSED_BLOCK", 37)
+        blocked, reference = (L0Sampler(UNIVERSE, seed=2, mode=mode)
+                              for _ in range(2))
+        blocked.update_many(indices, deltas)
+        reference._reference_update_many(indices, deltas)
+        _assert_same_state(blocked, whole)
+        _assert_same_state(blocked, reference)
 
 
 class TestStackedHashes:

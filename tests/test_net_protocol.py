@@ -11,6 +11,8 @@ streams and assert the equivalence directly.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,39 @@ class TestFrameDecoder:
             for offset in range(0, len(stream), 5):
                 collected.extend(decoder.feed(stream[offset:offset + 5]))
         assert collected == [frames[0]]
+
+    def test_large_frame_in_small_pieces_costs_linear_time(self):
+        """A 16 MiB frame fed in 64 KiB pieces is parsed in place.  Its
+        cost is held to a few times the bare minimum any decoder pays
+        for it, buffering the pieces and copying the frame out once
+        (that floor includes the allocator's page faults, which
+        dominate at this size); copying the whole buffer on every feed,
+        as a quadratic decoder does, costs well over ten times it."""
+        blob = encode_frame(KIND_EVENT, {}, [
+            np.zeros(16 << 20, dtype=np.uint8)])
+        pieces = [blob[i:i + (1 << 16)] for i in range(0, len(blob), 1 << 16)]
+
+        def buffer_only():
+            buffer = bytearray()
+            for piece in pieces:
+                buffer.extend(piece)
+            return [bytes(buffer)]
+
+        def decode():
+            decoder, out = FrameDecoder(), []
+            for piece in pieces:
+                out += decoder.feed(piece)
+            assert decoder.pending == 0
+            return out
+
+        best = {buffer_only: float("inf"), decode: float("inf")}
+        for _ in range(5):
+            for run in best:
+                start = time.perf_counter()
+                out = run()
+                best[run] = min(best[run], time.perf_counter() - start)
+                assert out == [blob]
+        assert best[decode] <= 4 * best[buffer_only]
 
     def test_empty_feeds_are_harmless(self):
         decoder = FrameDecoder()
