@@ -43,25 +43,29 @@ def tail_statistics(k):
     return counts
 
 
-def test_e15_kwise_concentration(benchmark):
-    def measure():
-        rows = []
-        tails = {}
-        for k in (2, 20):  # pairwise vs the paper's k = 10 ceil(1/|p-1|)
-            counts = tail_statistics(k)
-            mean = counts.mean()
-            spike = float((counts > 4 * max(mean, 1.0)).mean())
-            tails[k] = spike
-            rows.append([k, f"{mean:.2f}", f"{counts.std():.2f}",
-                         f"{np.quantile(counts, 0.99):.0f}",
-                         f"{spike:.4f}"])
-        return rows, tails
+TITLE = (f"E15: S' concentration under k-wise scalars, p={P}, eps={EPS} "
+         "(Lemma 3 needs the k=20 tail)")
 
-    rows, tails = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print_table(
-        f"E15: S' concentration under k-wise scalars, p={P}, eps={EPS} "
-        "(Lemma 3 needs the k=20 tail)",
-        ["k", "mean S'", "std", "q99", "P[S' > 4*mean]"], rows)
+
+def experiment():
+    """Table rows and the P[S' > 4 mean] tail per k."""
+    rows = []
+    tails = {}
+    for k in (2, 20):  # pairwise vs the paper's k = 10 ceil(1/|p-1|)
+        counts = tail_statistics(k)
+        mean = counts.mean()
+        spike = float((counts > 4 * max(mean, 1.0)).mean())
+        tails[k] = spike
+        rows.append([k, f"{mean:.2f}", f"{counts.std():.2f}",
+                     f"{np.quantile(counts, 0.99):.0f}",
+                     f"{spike:.4f}"])
+    return rows, tails
+
+
+def test_e15_kwise_concentration(benchmark):
+    rows, tails = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    print_table(TITLE, ["k", "mean S'", "std", "q99", "P[S' > 4*mean]"],
+                rows)
     # both unbiased: the means agree
     assert float(rows[0][1]) == pytest.approx(float(rows[1][1]), rel=0.25)
     # the k-wise tail must not be (much) worse than pairwise; typically

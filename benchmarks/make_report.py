@@ -10,10 +10,12 @@ based on.  Usage:
 
 from __future__ import annotations
 
+import pathlib
 import sys
 import time
 
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
+_HERE = pathlib.Path(__file__).resolve().parent
+sys.path[:0] = [str(_HERE), str(_HERE.parent / "src")]
 
 from _common import print_table  # noqa: E402
 
@@ -117,6 +119,13 @@ def report_e14():
     print_table("E14: Lemma 3 abort rates",
                 ["eps", "P[abort]", "P[abort|t<0.1]", "cond trials"],
                 m.experiment())
+
+
+def report_e15():
+    import bench_ablation_kwise as m
+    rows, _ = m.experiment()
+    print_table(m.TITLE, ["k", "mean S'", "std", "q99", "P[S' > 4*mean]"],
+                rows)
 
 
 def report_e18():

@@ -198,14 +198,16 @@ class L0Sampler(StreamingSampler):
 
     # -- sampling ---------------------------------------------------------------------
 
-    def sample(self) -> SampleResult:
-        """Scan levels sparsest-first; uniform choice from the first hit."""
+    def sample(self, rng: np.random.Generator | None = None) -> SampleResult:
+        """Scan levels sparsest-first; uniform choice from the first hit,
+        drawn from ``rng`` (default: the sampler's own, which advances)."""
+        rng = self._choice_rng if rng is None else rng
         for level in range(self.levels - 1, -1, -1):
             result = self._recoveries[level].recover()
             if result.dense or result.is_zero:
                 continue
             support = result.indices
-            pick = int(support[self._choice_rng.integers(support.size)])
+            pick = int(support[rng.integers(support.size)])
             value = int(result.values[np.flatnonzero(support == pick)[0]])
             return SampleResult.ok(pick, float(value), level=level,
                                    support_size=int(support.size))

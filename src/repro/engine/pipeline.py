@@ -502,7 +502,7 @@ class ShardedPipeline:
         ``updates_ingested`` reuse one fold (under the process backend
         that also skips the per-shard snapshot IPC) and each call
         returns an independent clone, so mutating one result — say,
-        drawing L0 samples — never leaks into the next.  Ingestion and
+        ingesting into it — never leaks into the next.  Ingestion and
         :meth:`reshard` invalidate the memo; the retained fold costs
         one extra structure's worth of memory.
         """

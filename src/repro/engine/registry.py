@@ -83,9 +83,10 @@ def _pcg64_state_array(generator: np.random.Generator) -> np.ndarray:
                     dtype=np.uint64)
 
 
-def _load_pcg64_state(generator: np.random.Generator,
-                      packed: np.ndarray) -> None:
+def _load_pcg64_state(packed: np.ndarray) -> np.random.Generator:
+    """A new generator in the state :func:`_pcg64_state_array` packed."""
     words = [int(w) for w in np.asarray(packed, dtype=np.uint64)]
+    generator = np.random.Generator(np.random.PCG64(0))   # state set next
     generator.bit_generator.state = {
         "bit_generator": "PCG64",
         "state": {"state": (words[0] << 64) | words[1],
@@ -93,10 +94,11 @@ def _load_pcg64_state(generator: np.random.Generator,
         "has_uint32": words[4],
         "uinteger": words[5],
     }
+    return generator
 
 
 def _set_l0_choice_rng(obj, arrays) -> None:
-    _load_pcg64_state(obj._choice_rng, arrays[0])
+    obj._choice_rng = _load_pcg64_state(arrays[0])
 
 
 def _register_samplers() -> None:
@@ -229,10 +231,10 @@ def _set_count_median_sum(obj, arrays) -> None:
 # type, which operations it supports and how to run them.  Dispatching
 # through the table (rather than duck-typing method names) makes
 # capability gaps *loud*: asking a structure for an operation it does
-# not support raises :class:`UnsupportedQuery` naming both sides, and
-# the flags tell the router whether an op mutates its target (it must
-# run on a clone to keep snapshots frozen) and whether its results are
-# cacheable (pure functions of ``(epoch, op, args)``).
+# not support raises :class:`UnsupportedQuery` naming both sides.
+# Every op only reads its target, so snapshots stay byte-frozen without
+# copies; the ``cacheable`` flag says whether a result is a pure
+# function of ``(epoch, op, args)``.
 
 
 class UnsupportedQuery(TypeError):
@@ -274,14 +276,9 @@ class QueryCapability:
     run:
         ``(structure, args: dict) -> result``.  Validates its own
         arguments and raises ``ValueError``/``TypeError`` on bad ones.
+        Never writes to the structure.
     doc:
         One-line signature summary for tables and CLIs.
-    mutates:
-        True when running the op advances internal state (e.g. the L0
-        sampler's uniform-choice RNG).  The router runs such ops on a
-        clone, so the snapshot stays byte-frozen — and the op becomes a
-        pure function of the snapshot, which is what makes its results
-        cacheable at all.
     cacheable:
         True when ``(epoch, op, canonical args)`` determines the result
         and the args are hashable.  ``inner`` takes another live
@@ -291,7 +288,6 @@ class QueryCapability:
     op: str
     run: Callable[[Any, dict], Any]
     doc: str = ""
-    mutates: bool = False
     cacheable: bool = True
 
 
@@ -501,6 +497,13 @@ def _count_arg(op: str, args: dict, default: int | None = 1):
     return count
 
 
+def _sample_l0(obj, args: dict) -> tuple:
+    """Draws as ``clone(obj)`` would, leaving ``obj`` itself unchanged."""
+    count = _count_arg("sample_l0", args)
+    rng = _load_pcg64_state(_pcg64_state_array(obj._choice_rng))
+    return tuple(obj.sample(rng) for _ in range(count))
+
+
 def _phi_args(args: dict) -> dict:
     _only_args("heavy_hitters", args, ("phi",))
     return ({"phi": float(args["phi"])} if "phi" in args else {})
@@ -556,13 +559,9 @@ def _register_queries() -> None:
         doc="recover(): 1-sparse decision (index, value) or not"))
 
     register_query(L0Sampler, QueryCapability(
-        "sample_l0",
-        lambda obj, args: tuple(obj.sample()
-                                for _ in range(_count_arg("sample_l0",
-                                                          args))),
+        "sample_l0", _sample_l0,
         doc="sample_l0(count=1): uniform support samples, zero "
-            "relative error",
-        mutates=True))
+            "relative error"))
     register_query(L0Sampler, QueryCapability(
         "support", lambda obj, args: (_no_args("support", args),
                                       obj.recover_full_support())[1],

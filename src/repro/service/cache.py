@@ -1,8 +1,8 @@
 """The epoch-keyed LRU result cache and the service's counters.
 
 Why the cache is safe: a :class:`~repro.service.snapshot.Snapshot` is
-immutable, and the router runs state-advancing operations on clones
-(whose RNG state is part of the clone), so every cacheable query is a
+immutable, and every query op only reads it (an L0 draw uses a copy
+of the sampler's choice generator), so every cacheable query is a
 *pure function* of ``(epoch, op, canonical args)``.  A hit therefore
 returns exactly what recomputation would — no TTLs, no invalidation
 protocol, no staleness bugs; a new epoch simply keys new entries and
@@ -198,10 +198,6 @@ class ServiceStats:
             "worker_restarts": self.worker_restarts,
             "per_op": dict(self.per_op),
         }
-
-    def as_dict(self) -> dict:
-        """Backwards-compatible alias for :meth:`to_dict`."""
-        return self.to_dict()
 
 
 def timer() -> float:

@@ -8,8 +8,8 @@ serving concerns on top of raw dispatch:
 1. **Loud capability gaps** — an op the snapshot's type does not
    support raises :class:`~repro.engine.registry.UnsupportedQuery`
    naming the type, the op and what *is* supported;
-2. **Snapshot frozenness** — ops flagged ``mutates`` (the L0 sampler's
-   draw advances its choice RNG) run on a clone, so the snapshot's
+2. **Snapshot frozenness** — every capability only reads the
+   snapshot (an L0 draw uses a copy of the choice generator), so its
    bytes never change and a draw sequence at epoch E is reproducible;
 3. **Caching** — cacheable results are looked up/stored in an
    epoch-keyed :class:`~repro.service.cache.ResultCache`, with the
@@ -68,10 +68,8 @@ class QueryRouter:
                 self.stats.record_query(op, self._timer() - start,
                                         cached=True)
                 return value
-        target = (snapshot.clone_structure() if capability.mutates
-                  else snapshot.structure)
         start = self._timer()
-        result = capability.run(target, dict(args))
+        result = capability.run(snapshot.structure, dict(args))
         elapsed = self._timer() - start
         self.stats.record_query(op, elapsed, cached=False,
                                 cacheable=capability.cacheable)
@@ -110,9 +108,8 @@ class QueryRouter:
                                  op, dict(args))
             if self.cache.contains(key):
                 continue
-            target = (snapshot.clone_structure() if capability.mutates
-                      else snapshot.structure)
-            self.cache.put(key, capability.run(target, dict(args)))
+            self.cache.put(key, capability.run(snapshot.structure,
+                                               dict(args)))
             warmed += 1
         self.stats.prewarmed += warmed
         self.stats.prewarm_seconds += self._timer() - start

@@ -6,8 +6,8 @@ owns a running :class:`~repro.engine.pipeline.ShardedPipeline` plus
 * a :class:`~repro.service.snapshot.SnapshotManager` (epoch-versioned
   frozen views, refresh policy, retention),
 * a :class:`~repro.service.router.QueryRouter` over the engine's
-  capability table (loud :class:`UnsupportedQuery` gaps, clone-before-
-  mutate, the epoch-keyed LRU result cache),
+  capability table (loud :class:`UnsupportedQuery` gaps, read-only
+  queries, the epoch-keyed LRU result cache),
 * a :class:`~repro.service.autoscale.LoadMonitor` implementing the
   automatic reshard trigger (offered-load watermarks).
 

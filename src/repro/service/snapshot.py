@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 
-from ..engine.checkpoint import (_MAGIC as _STRUCTURE_MAGIC, clone,
+from ..engine.checkpoint import (_MAGIC as _STRUCTURE_MAGIC,
                                  restore as restore_structure)
 from ..engine.pipeline import _PIPELINE_MAGIC, ShardedPipeline
 from ..wire import (KIND_PIPELINE, KIND_SKETCH, KIND_STRUCTURE, MAGIC,
@@ -42,10 +42,10 @@ _TOKENS = itertools.count()
 class Snapshot:
     """An immutable merged view of the stream at one epoch.
 
-    Do not mutate the exposed :attr:`structure`; the query router runs
-    state-advancing operations (e.g. L0 sample draws) on clones so the
-    snapshot stays byte-frozen — that frozenness is what makes result
-    caching keyed by ``(epoch, query, args)`` provably safe.
+    Do not mutate the exposed :attr:`structure`.  Query ops only read
+    it (an L0 draw uses a copy of the choice generator), so it stays
+    byte-frozen — which makes result caching keyed by ``(epoch, query,
+    args)`` provably safe.
     """
 
     __slots__ = ("_structure", "_epoch", "_source", "_token")
@@ -159,10 +159,6 @@ class Snapshot:
     @property
     def structure_type(self) -> str:
         return type(self._structure).__name__
-
-    def clone_structure(self):
-        """An independent mutable copy (for state-advancing queries)."""
-        return clone(self._structure)
 
     def __repr__(self) -> str:
         return (f"Snapshot({self.structure_type}, epoch={self._epoch}, "

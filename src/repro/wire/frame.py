@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import zlib
 from dataclasses import dataclass, field
 
@@ -279,17 +280,22 @@ def _decode_section(data: bytes, offset: int, end: int,
     need(payload_len, "payload")
     payload = data[offset:offset + payload_len]
     offset += payload_len
+    expected = int(np.prod(shape, dtype=object)) * dtype.itemsize
     if flags & _FLAG_ZLIB:
+        # At most one byte past the declared size: never a zip bomb.
+        inflate = zlib.decompressobj()
         try:
-            payload = zlib.decompress(payload)
+            payload = inflate.decompress(
+                payload, min(expected, sys.maxsize - 1) + 1)
+            if inflate.unconsumed_tail or inflate.unused_data \
+                    or not inflate.eof:
+                raise zlib.error(f"the stream does not end at the "
+                                 f"declared {expected} bytes")
         except zlib.error as exc:
             raise WireError(
                 f"corrupt frame (section {index} fails to inflate: "
                 f"{exc})") from exc
-    count = 1
-    for dim in shape:
-        count *= dim
-    if len(payload) != count * dtype.itemsize:
+    if len(payload) != expected:
         raise WireError(
             f"corrupt frame (section {index} holds {len(payload)} "
             f"bytes for shape {tuple(shape)} of {dtype})")

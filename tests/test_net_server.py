@@ -204,7 +204,6 @@ class TestServiceStatsSnapshot:
         assert doc["ingest_rate"] == 200.0
         assert doc["per_op"] == {"point": 2}
         json.dumps(doc)                      # JSON-able end to end
-        assert stats.as_dict() == doc        # the legacy alias
 
 
 class TestReplication:

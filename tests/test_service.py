@@ -15,8 +15,8 @@ from repro.apps.heavy_hitters import (CountMedianHeavyHitters,
                                       CountSketchHeavyHitters)
 from repro.core import L0Sampler
 from repro.engine import (ShardedPipeline, UnsupportedQuery, checkpoint,
-                          query_algebra, query_capabilities, registered_types,
-                          state_arrays)
+                          clone, query_algebra, query_capabilities,
+                          query_capability, registered_types, state_arrays)
 from repro.service import (LoadMonitor, QueryRouter, QueryService,
                            ResultCache, Snapshot, SnapshotManager,
                            WatermarkPolicy)
@@ -130,6 +130,16 @@ _CANONICAL_ARGS = {
 }
 
 
+def _fed(case, universe=64, seed=0):
+    structure = case.factory(universe, seed)
+    if case.item_stream:
+        structure.process_items(np.arange(10, dtype=np.int64))
+    else:
+        structure.update_many(np.arange(10, dtype=np.int64),
+                              np.ones(10, dtype=np.int64))
+    return structure
+
+
 class TestCapabilityTable:
     def test_algebra_covers_canonical_args(self):
         """Every op the registry knows has a canonical invocation here
@@ -144,12 +154,7 @@ class TestCapabilityTable:
     def test_gaps_raise_unsupported_query_naming_both_sides(self, case):
         """For every registered spec: supported ops run, unsupported
         ops raise UnsupportedQuery naming the type and the op."""
-        structure = case.factory(64, 3)
-        if case.item_stream:
-            structure.process_items(np.arange(10, dtype=np.int64))
-        else:
-            structure.update_many(np.arange(10, dtype=np.int64),
-                                  np.ones(10, dtype=np.int64))
+        structure = _fed(case, seed=3)
         snap = Snapshot(structure, epoch=10)
         router = QueryRouter(cache=ResultCache(0))
         supported = set(query_capabilities(structure))
@@ -221,6 +226,69 @@ class TestCapabilityTable:
         router.query(snap, "heavy_hitters", phi=0.5)   # coarser: fine
         with pytest.raises(ValueError, match="sized for phi >= 0.2"):
             router.query(snap, "heavy_hitters", phi=0.1)
+
+
+# ---------------------------------------------------------------------------
+# Queries never write
+
+
+def _clone_draws(structure, count):
+    """The draws of a private copy: the oracle for ``sample_l0``."""
+    twin = clone(structure)
+    return tuple(twin.sample() for _ in range(count))
+
+
+class TestQueriesNeverWrite:
+    """Every capability is a read-only function of the snapshot state,
+    so ops run on the snapshot's own structure with no copy."""
+
+    @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+    def test_every_op_leaves_the_checkpoint_bytes_unchanged(self, case):
+        snap = Snapshot(_fed(case), epoch=10)
+        before = checkpoint(snap.structure)
+        capabilities = query_capabilities(snap.structure)
+        for op, capability in sorted(capabilities.items()):
+            args = ({"other": clone(snap.structure)} if op == "inner"
+                    else dict(_CANONICAL_ARGS[op]))
+            answer = capability.run(snap.structure, args)
+            assert checkpoint(snap.structure) == before, op
+            if op == "sample_l0":       # the draw was a real choice
+                assert answer[0].diagnostics["support_size"] > 1
+
+    def test_sample_l0_equals_clone_draws_over_random_epochs(self):
+        sampler = L0Sampler(1 << 12, delta=0.2, seed=5)
+        run = query_capability(sampler, "sample_l0").run
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            size = int(rng.integers(1, 400))
+            sampler.update_many(rng.integers(0, 1 << 12, size),
+                                rng.integers(-2, 3, size))
+            if rng.random() < 0.3:      # advance the live generator
+                sampler.sample()
+            before = checkpoint(sampler)
+            count = int(rng.integers(1, 9))
+            answer = run(sampler, {"count": count})
+            want = _clone_draws(sampler, count)
+            assert answer == want and repr(answer) == repr(want)
+            assert checkpoint(sampler) == before
+
+    def test_checkpoint_taken_after_draws_answers_from_its_live_state(self):
+        """A restored structure continues its generator, so the copy
+        starts from the live state, not a seed-fresh one."""
+        sampler = L0Sampler(1 << 12, delta=0.2, seed=0)
+        sampler.update_many(np.arange(0, 600, 7),
+                            np.ones(86, dtype=np.int64))
+        fresh = _clone_draws(sampler, 6)
+        assert fresh[0].diagnostics["support_size"] > 1   # a real choice
+        for _ in range(5):
+            sampler.sample()
+        snap = Snapshot.from_checkpoint(checkpoint(sampler), epoch=86)
+        before = checkpoint(snap.structure)
+        answer = QueryRouter(cache=ResultCache(0)).query(
+            snap, "sample_l0", count=6)
+        assert answer == _clone_draws(sampler, 6)
+        assert [r.index for r in answer] != [r.index for r in fresh]
+        assert checkpoint(snap.structure) == before
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +599,7 @@ class TestQueryService:
             service.ingest(idx, dlt)
             service.query("heavy_hitters")
             service.query("heavy_hitters")
-            report = service.stats.as_dict()
+            report = service.stats.to_dict()
             assert report["queries"] == 2
             assert report["cache_hits"] == 1
             assert report["cache_misses"] == 1
@@ -655,7 +723,7 @@ class TestPrewarm:
             service.query("heavy_hitters")
             service.ingest(idx[2000:], dlt[2000:])
             service.refresh()
-            report = service.stats.as_dict()
+            report = service.stats.to_dict()
             assert report["prewarmed"] == 1
             assert report["prewarm_seconds"] >= 0.0
 

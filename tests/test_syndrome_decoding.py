@@ -158,8 +158,8 @@ class TestRecoverMemo:
         assert 4000 not in before.indices.tolist()
 
     def test_sampler_draws_match_across_clones(self):
-        """A clone of a sampler (as the query router makes) decodes from
-        the memo and still draws exactly what the original draws."""
+        """A clone of a sampler (as a snapshot capture makes) decodes
+        from the memo and still draws exactly what the original draws."""
         sampler = L0Sampler(1 << 12, seed=2)
         rng = np.random.default_rng(2)
         sampler.update_many(rng.integers(0, 1 << 12, 3000),

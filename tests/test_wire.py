@@ -9,6 +9,8 @@ only test their own payload semantics on top.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,61 @@ class TestDecodeValidation:
         blob[-1] ^= 0xFF
         with pytest.raises(WireError, match="inflate"):
             decode_frame(bytes(blob))
+
+    @staticmethod
+    def _one_section_frame(flags, dtype, shape, payload):
+        """A hand-built frame: one section whose declared shape and
+        payload the encoder would never pair."""
+        import io
+
+        from repro.wire.frame import _write_uvarint
+
+        body = io.BytesIO()
+        _write_uvarint(body, 2)
+        body.write(b"{}")
+        _write_uvarint(body, 1)
+        body.write(bytes([flags]))
+        _write_uvarint(body, len(dtype))
+        body.write(dtype)
+        _write_uvarint(body, len(shape))
+        for dim in shape:
+            _write_uvarint(body, dim)
+        _write_uvarint(body, len(payload))
+        body.write(payload)
+        out = io.BytesIO()
+        out.write(MAGIC)
+        out.write(bytes([WIRE_VERSION, KIND_SKETCH]))
+        _write_uvarint(out, len(body.getvalue()))
+        out.write(body.getvalue())
+        return out.getvalue()
+
+    def test_zlib_bomb_rejected_without_inflating_it(self):
+        """A ~100 KiB section that inflates to 96 MiB but declares 8
+        bytes fails typed, and the decoder never holds more than the
+        declared size plus one byte of output."""
+        import tracemalloc
+
+        packer = zlib.compressobj()
+        zeros = bytes(1 << 20)
+        bomb = b"".join(packer.compress(zeros) for _ in range(96))
+        bomb += packer.flush()
+        assert len(bomb) < 1 << 20
+        blob = self._one_section_frame(0x01, b"<i8", (1,), bomb)
+        tracemalloc.start()
+        try:
+            with pytest.raises(WireError, match="declared 8 bytes"):
+                decode_frame(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(blob) + (1 << 20)
+
+    def test_zlib_section_must_end_where_its_stream_ends(self):
+        packed = zlib.compress(bytes(8))
+        for payload in (packed + b"junk", packed[:-2]):
+            blob = self._one_section_frame(0x01, b"<i8", (1,), payload)
+            with pytest.raises(WireError, match="inflate"):
+                decode_frame(blob)
 
     def test_non_object_header_rejected(self):
         import io
