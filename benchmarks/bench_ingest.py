@@ -5,11 +5,9 @@ Two sweeps, one machine-readable report (``BENCH_ingest.json``):
 **Kernel sweep** — ``update_many`` throughput (updates/sec) for every
 fused sketch type against its per-row ``_reference_update_many``
 oracle, across batch sizes, with byte-identical state asserted per
-cell.  Where the flattened-``bincount`` scatter lane exists
-(count-sketch, count-min) it is measured too, documenting why the
-(numpy >= 1.24, fast) ``np.add.at`` scatter is the default.  The
-fused win comes from stacked hashing: one cache-blocked Horner pass
-over all rows, one reduction per step, no per-row Python loop.
+cell.  The fused win comes from stacked hashing: one cache-blocked
+Horner pass over all rows, one reduction per step, no per-row Python
+loop; both lanes scatter with (numpy >= 1.24, fast) ``np.add.at``.
 
 **Transport sweep** — process-backend ingestion throughput over shard
 counts and chunk sizes under both chunk transports (``pickle`` queues
@@ -41,8 +39,9 @@ from repro.sketch import AMSSketch, CountMin, CountSketch, StableSketch
 
 from _common import print_table
 
-#: Bumped when the BENCH_ingest.json layout changes.
-REPORT_SCHEMA = 1
+#: Bumped when the BENCH_ingest.json layout changes (2: kernel rows
+#: dropped ``bincount_per_s``).
+REPORT_SCHEMA = 2
 
 BATCH_SIZES = (1024, 4096, 16384)
 
@@ -83,7 +82,7 @@ def _transport_factory():
 
 
 KERNEL_HEADER = ["structure", "batch", "fused/s", "reference/s",
-                 "bincount/s", "speedup", "byte-identical"]
+                 "speedup", "byte-identical"]
 
 TRANSPORT_HEADER = ["transport", "K", "chunk", "updates/s",
                     "byte-identical"]
@@ -144,9 +143,6 @@ def kernel_experiment(updates: int = 131_072, repeats: int = 5):
                 "fused": fused.update_many,
                 "reference": reference._reference_update_many,
             }
-            bincount_lane = getattr(fused, "_bincount_update_many", None)
-            if bincount_lane is not None:
-                lanes["bincount"] = bincount_lane
             throughput = _lane_throughputs(lanes, indices, deltas,
                                            batch, repeats)
             records.append({
@@ -155,7 +151,6 @@ def kernel_experiment(updates: int = 131_072, repeats: int = 5):
                 "updates": updates,
                 "fused_per_s": throughput["fused"],
                 "reference_per_s": throughput["reference"],
-                "bincount_per_s": throughput.get("bincount"),
                 "speedup": throughput["fused"] / throughput["reference"],
                 "byte_identical": identical,
             })
@@ -268,9 +263,8 @@ def write_report(kernel_records, transport_records, path: str) -> dict:
 
 def _kernel_rows(records):
     return [[r["structure"], r["batch"], f"{r['fused_per_s']:,.0f}",
-             f"{r['reference_per_s']:,.0f}",
-             f"{r['bincount_per_s']:,.0f}" if r["bincount_per_s"]
-             else "-", f"{r['speedup']:.2f}x", r["byte_identical"]]
+             f"{r['reference_per_s']:,.0f}", f"{r['speedup']:.2f}x",
+             r["byte_identical"]]
             for r in records]
 
 

@@ -51,8 +51,8 @@ class LintConfig:
     #: safety (the PR-5 fused-kernel set): exempt from the R006
     #: arithmetic checks, NOT from the dtype-less-literal check.
     audited_modules: tuple = (
-        "sketch/kernels.py", "sketch/count_sketch.py",
-        "sketch/count_min.py", "sketch/ams.py", "sketch/stable.py",
+        "sketch/count_sketch.py", "sketch/count_min.py",
+        "sketch/ams.py", "sketch/stable.py",
         "hashing/field.py", "hashing/kwise.py", "hashing/prng.py")
     #: Subtrees whose concrete ``update_many`` needs an oracle (R003).
     kernel_paths: tuple = ("sketch",)

@@ -110,9 +110,9 @@ class NumpyOverflowRule(Rule):
                     out.append(self.finding(
                         info, node.lineno,
                         "+= on an integer numpy array wraps silently "
-                        "on overflow; accumulate through a sized "
-                        "kernel (see sketch/kernels.py) and suppress "
-                        "with a justification if audited"))
+                        "on overflow; size the accumulator dtype for "
+                        "the largest possible sum and suppress with a "
+                        "justification if audited"))
         return out
 
     @staticmethod

@@ -34,9 +34,6 @@ The same component walk powers two more engine primitives:
 
 from __future__ import annotations
 
-import io
-import json
-import zipfile
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -45,15 +42,8 @@ import numpy as np
 from ..wire import KIND_STRUCTURE, WireError, decode_frame, encode_frame
 
 #: Bump when the checkpoint payload changes; restore() rejects other
-#: versions.  3 = repro.wire frames (2 was the zip-of-npz layout, still
-#: readable for one release via the legacy reader).
+#: versions.  3 = repro.wire frames.
 FORMAT_VERSION = 3
-
-#: Magic of the retired format-2 encoder, kept for the legacy reader.
-_MAGIC = b"RPROCK"
-
-#: Last format still readable by the legacy (zip-of-npz) reader.
-_LEGACY_FORMAT = 2
 
 
 class IncompatibleShards(ValueError):
@@ -248,13 +238,22 @@ def params_of(obj) -> dict:
 
 
 def build_twin(class_name: str, params: dict):
-    """An empty structure of the named class sharing the linear map."""
-    spec = _SPECS.get(class_name)
+    """An empty structure of the named class sharing the linear map;
+    ``ValueError`` when the class is unknown or its constructor
+    rejects ``params``."""
+    spec = _SPECS.get(class_name) if isinstance(class_name, str) else None
     if spec is None:
         raise ValueError(f"unknown engine class {class_name!r}")
-    if spec.build is None:
-        return spec.cls(**params)
-    return spec.build(params)
+    if not isinstance(params, dict):
+        raise ValueError(f"{class_name} parameters must be a JSON "
+                         f"object, not {params!r}")
+    try:
+        if spec.build is None:
+            return spec.cls(**params)
+        return spec.build(params)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{class_name} rejects parameters {params!r}: "
+                         f"{exc}") from exc
 
 
 def clone(obj):
@@ -296,12 +295,8 @@ def restore(data: bytes):
 
     Raises :class:`StaleCheckpoint` when the blob was written by a
     different format version, and ``ValueError`` for garbage input,
-    unknown classes or state/shape mismatches.  Format-2 (``RPROCK``
-    zip-of-npz) blobs from the previous release restore via the legacy
-    reader.
+    unknown classes, malformed headers or state/shape mismatches.
     """
-    if bytes(data[:len(_MAGIC)]) == _MAGIC:
-        return _restore_legacy(data)
     try:
         frame = decode_frame(data, expect_kind=KIND_STRUCTURE)
     except WireError as exc:
@@ -316,7 +311,7 @@ def restore(data: bytes):
 
 
 def _seat_checkpoint(header: dict, loaded: list):
-    instance = build_twin(header["class"], header["params"])
+    instance = build_twin(header.get("class"), header.get("params"))
     expected = state_arrays(instance)
     if len(loaded) != len(expected):
         raise ValueError(
@@ -324,34 +319,6 @@ def _seat_checkpoint(header: dict, loaded: list):
             f"{header['class']} expects {len(expected)}")
     _load_state(instance, loaded)
     return instance
-
-
-def _restore_legacy(data: bytes):
-    """One-release reader for format-2 ``RPROCK`` (zip-of-npz) blobs."""
-    offset = len(_MAGIC)
-    header_len = int.from_bytes(data[offset:offset + 4], "big")
-    offset += 4
-    raw_header = data[offset:offset + header_len]
-    if len(raw_header) < header_len:
-        raise ValueError("truncated checkpoint (incomplete header)")
-    try:
-        header = json.loads(raw_header.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"corrupt checkpoint header: {exc}") from exc
-    version = header.get("format")
-    if version != _LEGACY_FORMAT:
-        raise StaleCheckpoint(
-            f"checkpoint format {version!r} is not supported "
-            f"(this build reads format {FORMAT_VERSION} and legacy "
-            f"format {_LEGACY_FORMAT})")
-    buffer = io.BytesIO(data[offset + header_len:])
-    try:
-        with np.load(buffer) as arrays:
-            loaded = [arrays[f"a{i}"] for i in range(len(arrays.files))]
-    except (zipfile.BadZipFile, OSError, EOFError, KeyError,
-            ValueError) as exc:
-        raise ValueError(f"corrupt checkpoint payload: {exc}") from exc
-    return _seat_checkpoint(header, loaded)
 
 
 # -- merging ------------------------------------------------------------------

@@ -50,10 +50,9 @@ class FollowerPipeline:
     ----------
     base:
         A *full* pipeline checkpoint from the leader
-        (``ShardedPipeline.checkpoint()``; the legacy ``RPROPL``
-        format boots too).  The follower folds the checkpointed
-        shards into the one merged state the leader's deltas are
-        encoded against.
+        (``ShardedPipeline.checkpoint()``).  The follower folds the
+        checkpointed shards into the one merged state the leader's
+        deltas are encoded against.
     """
 
     def __init__(self, base: bytes):

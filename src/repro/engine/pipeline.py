@@ -52,7 +52,6 @@ checkpoints stay honest.
 
 from __future__ import annotations
 
-import json
 from collections import OrderedDict
 
 import numpy as np
@@ -68,15 +67,6 @@ from .delta import (DeltaError, OutOfOrderDelta,
                     apply as apply_delta, decode as decode_delta,
                     encode as encode_delta)
 from .workers import BACKENDS, TRANSPORTS, ProcessPool, build_pool
-
-#: Magic of the retired pre-wire pipeline format (legacy reader only).
-_PIPELINE_MAGIC = b"RPROPL"
-
-#: Magic of the retired pre-wire structure format (signature peeks).
-_LEGACY_STRUCTURE_MAGIC = b"RPROCK"
-
-#: Pipeline checkpoint format readable by the legacy reader.
-_LEGACY_FORMAT = 2
 
 #: How many epochs of delta bases a pipeline retains for
 #: ``checkpoint(since=...)``.  Each base is one merged state's worth of
@@ -681,9 +671,7 @@ class ShardedPipeline:
         one combination restores under any other.  ``faults`` /
         ``restarts`` attach a fault plan and a supervised restart
         policy to the restored pipeline — execution knobs like the
-        backend, never part of the blob.  Legacy ``RPROPL``
-        (format-2) pipeline checkpoints restore via the one-release
-        legacy reader.
+        backend, never part of the blob.
 
         ``shards`` optionally restores onto a *different* shard count
         than the checkpoint was taken at: the checkpointed states are
@@ -707,11 +695,7 @@ class ShardedPipeline:
         at the last delta's epoch, and ``updates_ingested`` lands
         there too.
         """
-        data = bytes(data)
-        if data[:len(_PIPELINE_MAGIC)] == _PIPELINE_MAGIC:
-            header, blobs = _parse_legacy_pipeline(data)
-        else:
-            header, blobs = _parse_wire_pipeline(data)
+        header, blobs = _parse_wire_pipeline(bytes(data))
         partition = header.get("partition")
         if partition not in _PARTITIONS:
             raise ValueError(
@@ -841,61 +825,6 @@ def _parse_wire_pipeline(data: bytes) -> tuple:
     return header, blobs
 
 
-def _parse_legacy_pipeline(data: bytes) -> tuple:
-    """One-release reader for ``RPROPL`` (format-2) pipeline blobs:
-    6-byte magic, 4-byte big-endian header length, JSON header, then
-    exactly ``shards`` 8-byte length-prefixed structure blobs."""
-    offset = len(_PIPELINE_MAGIC)
-    if len(data) < offset + 4:
-        raise ValueError("truncated pipeline checkpoint (no header)")
-    header_len = int.from_bytes(data[offset:offset + 4], "big")
-    offset += 4
-    raw_header = data[offset:offset + header_len]
-    if len(raw_header) < header_len:
-        raise ValueError(
-            "truncated pipeline checkpoint (incomplete header)")
-    try:
-        header = json.loads(raw_header.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(
-            f"corrupt pipeline checkpoint header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ValueError("corrupt pipeline checkpoint header "
-                         "(not a JSON object)")
-    offset += header_len
-    if header.get("format") != _LEGACY_FORMAT:
-        raise StaleCheckpoint(
-            f"pipeline checkpoint format {header.get('format')!r} is "
-            f"not supported (this build reads {FORMAT_VERSION} and "
-            f"legacy format {_LEGACY_FORMAT})")
-    declared = _header_int(header, "shards", minimum=1)
-    blobs = []
-    for i in range(declared):
-        if offset + 8 > len(data):
-            raise ValueError(
-                f"corrupt pipeline checkpoint: header declares "
-                f"{declared} shards but the payload ends at "
-                f"shard {i}")
-        blob_len = int.from_bytes(data[offset:offset + 8], "big")
-        offset += 8
-        if blob_len > len(data) - offset:
-            raise ValueError(
-                f"corrupt pipeline checkpoint: shard blob {i} is "
-                f"truncated ({blob_len} bytes framed, "
-                f"{len(data) - offset} remain)")
-        blobs.append(data[offset:offset + blob_len])
-        offset += blob_len
-    if offset != len(data):
-        raise ValueError(
-            f"corrupt pipeline checkpoint: {len(data) - offset} "
-            f"trailing bytes after the last shard blob")
-    # Rewrite the format so the common validation path (which checks
-    # shard count vs sections) accepts the parsed legacy header.
-    header = dict(header)
-    header["format"] = FORMAT_VERSION
-    return header, blobs
-
-
 def _apply_delta_chain(folded, epoch: int, delta_blobs: list) -> tuple:
     """Advance ``folded``'s state arrays through an ordered delta
     chain; returns ``(arrays, final epoch)``."""
@@ -926,12 +855,7 @@ def _shard_blob_signature(blob: bytes, index: int) -> tuple:
     """(class, params) from a structure blob's header — the two
     fields that determine its linear map — without restoring state."""
     try:
-        blob = bytes(blob)
-        if blob[:len(_LEGACY_STRUCTURE_MAGIC)] == _LEGACY_STRUCTURE_MAGIC:
-            header_len = int.from_bytes(blob[6:10], "big")
-            header = json.loads(blob[10:10 + header_len].decode("utf-8"))
-        else:
-            _, header = peek_header(blob)
+        _, header = peek_header(bytes(blob))
         return header["class"], header["params"]
     except Exception as exc:
         raise ValueError(

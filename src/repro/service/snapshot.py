@@ -29,11 +29,10 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 
-from ..engine.checkpoint import (_MAGIC as _STRUCTURE_MAGIC,
-                                 restore as restore_structure)
-from ..engine.pipeline import _PIPELINE_MAGIC, ShardedPipeline
-from ..wire import (KIND_PIPELINE, KIND_SKETCH, KIND_STRUCTURE, MAGIC,
-                    WireError, peek_kind)
+from ..engine.checkpoint import restore as restore_structure
+from ..engine.pipeline import ShardedPipeline
+from ..wire import (KIND_PIPELINE, KIND_SKETCH, KIND_STRUCTURE, WireError,
+                    peek_kind)
 
 #: Process-unique snapshot tokens (see Snapshot.cache_token).
 _TOKENS = itertools.count()
@@ -84,38 +83,28 @@ class Snapshot:
         already carries the truth), a bare *structure* frame (e.g. a
         remote site's sketch, which carries no update counter —
         ``epoch`` defaults to 0), and a *sketch* frame from
-        ``sketch.to_bytes()``.  Legacy ``RPROPL``/``RPROCK`` blobs
-        from the previous release dispatch the same way.
+        ``sketch.to_bytes()``.
         """
         blob = bytes(blob)
-        if blob[:len(MAGIC)] == MAGIC:
-            try:
-                kind = peek_kind(blob)
-            except WireError as exc:
-                raise ValueError(f"unreadable checkpoint: {exc}") from exc
-            if kind == KIND_PIPELINE:
-                return cls._from_pipeline_blob(blob, epoch)
-            if kind == KIND_STRUCTURE:
-                return cls(restore_structure(blob),
-                           0 if epoch is None else int(epoch),
-                           source="checkpoint")
-            if kind == KIND_SKETCH:
-                from ..sketch.serialize import from_bytes
-                return cls(from_bytes(blob),
-                           0 if epoch is None else int(epoch),
-                           source="checkpoint")
-            raise ValueError(
-                f"cannot snapshot a frame of kind {kind} (deltas need "
-                f"a base: restore the pipeline with deltas=, or feed "
-                f"them to a FollowerPipeline)")
-        if blob[:len(_PIPELINE_MAGIC)] == _PIPELINE_MAGIC:
+        try:
+            kind = peek_kind(blob)
+        except WireError as exc:
+            raise ValueError(f"unreadable checkpoint: {exc}") from exc
+        if kind == KIND_PIPELINE:
             return cls._from_pipeline_blob(blob, epoch)
-        if blob[:len(_STRUCTURE_MAGIC)] == _STRUCTURE_MAGIC:
+        if kind == KIND_STRUCTURE:
             return cls(restore_structure(blob),
                        0 if epoch is None else int(epoch),
                        source="checkpoint")
+        if kind == KIND_SKETCH:
+            from ..sketch.serialize import from_bytes
+            return cls(from_bytes(blob),
+                       0 if epoch is None else int(epoch),
+                       source="checkpoint")
         raise ValueError(
-            "not a pipeline or structure checkpoint (bad magic)")
+            f"cannot snapshot a frame of kind {kind} (deltas need "
+            f"a base: restore the pipeline with deltas=, or feed "
+            f"them to a FollowerPipeline)")
 
     @classmethod
     def _from_pipeline_blob(cls, blob: bytes,

@@ -3,7 +3,6 @@
 from .ams import AMSSketch
 from .count_min import CountMin
 from .count_sketch import CountSketch, err_m2, rows_for_universe
-from .kernels import scatter_add_flat, scatter_add_rows
 from .l0_estimator import L0Estimator
 from .linear import LinearSketch
 from .stable import StableSketch, stable_median
@@ -11,5 +10,4 @@ from .stable import StableSketch, stable_median
 __all__ = [
     "AMSSketch", "CountMin", "CountSketch", "err_m2", "rows_for_universe",
     "L0Estimator", "LinearSketch", "StableSketch", "stable_median",
-    "scatter_add_flat", "scatter_add_rows",
 ]

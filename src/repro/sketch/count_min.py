@@ -19,7 +19,6 @@ import numpy as np
 
 from ..hashing.kwise import BucketHash, derive_rngs
 from ..space.accounting import SpaceReport, counter_bits
-from .kernels import scatter_add_rows
 from .linear import LinearSketch
 from .serialize import register
 
@@ -77,19 +76,6 @@ class CountMin(LinearSketch):
         buckets = self._stacked(idx)                    # (rows, n)
         for j in range(self.rows):
             np.add.at(self.table[j], buckets[j], dlt)
-
-    def _bincount_update_many(self, indices, deltas) -> None:
-        """The flattened-``bincount`` scatter lane (same fused hashing);
-        the kernel keeps integer state exact at any delta magnitude by
-        falling back to a native-int64 segmented sum past the float64
-        window.  Benchmarked against :meth:`update_many` to justify the
-        ``np.add.at`` default."""
-        idx = np.asarray(indices, dtype=np.int64)
-        dlt = np.asarray(deltas, dtype=np.int64)
-        if idx.size == 0:
-            return
-        buckets = self._stacked(idx)
-        self.table += scatter_add_rows(buckets, dlt, self.buckets)
 
     def _reference_update_many(self, indices, deltas) -> None:
         """The historical per-row ``np.add.at`` path (equivalence oracle)."""

@@ -27,7 +27,6 @@ import numpy as np
 
 from ..hashing.kwise import BucketHash, KWiseHash, SignHash, derive_rngs
 from ..space.accounting import SpaceReport, counter_bits
-from .kernels import scatter_add_rows
 from .linear import LinearSketch
 from .serialize import register
 
@@ -105,12 +104,10 @@ class CountSketch(LinearSketch):
         """Fused update: all 2*rows hash polynomials evaluated in one
         cache-blocked stacked Horner pass, then the per-row scatter.
 
-        The scatter stays ``np.add.at`` by measurement: since numpy
-        1.24 the ufunc ``at`` fast path scatters at ~2 ns/element, so
-        replacing it with the flattened-``bincount`` kernel
-        (:func:`~repro.sketch.kernels.scatter_add_rows`, kept and
-        benchmarked as the alternative lane) costs more in flat-index
-        and weight temporaries than it saves.  Byte-identical to
+        The scatter is ``np.add.at`` by measurement: since numpy 1.24
+        the ufunc ``at`` fast path scatters at ~2 ns/element, so a
+        flattened-``np.bincount`` scatter costs more in flat-index and
+        weight temporaries than it saves.  Byte-identical to
         :meth:`_reference_update_many` — same hash values, same
         scatter ops in the same order (the equivalence tests pin it).
         """
@@ -122,23 +119,6 @@ class CountSketch(LinearSketch):
         signed = signs * dlt
         for j in range(self.rows):
             np.add.at(self.table[j], buckets[j], signed[j])
-
-    def _bincount_update_many(self, indices, deltas) -> None:
-        """The flattened-``bincount`` scatter lane (same fused hashing).
-
-        Accumulates the whole batch into a zero table delta first, so
-        repeated batches differ from :meth:`update_many` by float
-        reassociation ulps; from a zero table a single batch is
-        byte-identical.  Kept callable so the ingest benchmark can
-        publish the scatter-strategy comparison that justifies the
-        ``np.add.at`` default.
-        """
-        idx = np.asarray(indices, dtype=np.int64)
-        dlt = np.asarray(deltas, dtype=np.float64)
-        if idx.size == 0:
-            return
-        buckets, signs = self._hash_block(idx)
-        self.table += scatter_add_rows(buckets, signs * dlt, self.buckets)
 
     def _hash_block(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """All rows' buckets (``(rows, n)`` uint64) and signs

@@ -10,10 +10,6 @@ so two honest parties sharing the seed reconstruct the *same* linear
 map and can keep updating the shipped sketch — exactly the property
 the one-way protocols rely on.
 
-Blobs written by the pre-wire encoder (magic ``RPRO1``, JSON header +
-``np.savez`` payload) remain restorable for one release via the legacy
-reader below.
-
 The encoded size is the physical message; the paper-model message size
 (O(log n)-bit counters) remains ``space_bits()``.  Benchmarks report
 both.
@@ -21,18 +17,10 @@ both.
 
 from __future__ import annotations
 
-import io
-import json
-
-import numpy as np
-
 from ..wire import KIND_SKETCH, WireError, decode_frame, encode_frame
 
 #: Registry of serializable sketch classes, filled by register().
 _REGISTRY: dict[str, type] = {}
-
-#: Magic of the retired pre-wire format, kept for the legacy reader.
-_MAGIC = b"RPRO1"
 
 
 def register(cls):
@@ -57,10 +45,18 @@ def to_bytes(self, compress: str = "none") -> bytes:
 
 
 def _instantiate(header: dict, state: list):
-    cls = _REGISTRY.get(header.get("class"))
+    name, params = header.get("class"), header.get("params")
+    cls = _REGISTRY.get(name) if isinstance(name, str) else None
     if cls is None:
-        raise ValueError(f"unknown sketch class {header.get('class')!r}")
-    instance = cls(**header["params"])
+        raise ValueError(f"unknown sketch class {name!r}")
+    if not isinstance(params, dict):
+        raise ValueError(f"{name} parameters must be a JSON object, "
+                         f"not {params!r}")
+    try:
+        instance = cls(**params)
+    except TypeError as exc:
+        raise ValueError(f"{name} rejects parameters {params!r}: "
+                         f"{exc}") from exc
     expected = instance._state_arrays()
     if len(state) != len(expected):
         raise ValueError("state array count mismatch")
@@ -73,25 +69,12 @@ def _instantiate(header: dict, state: list):
 
 
 def from_bytes(data: bytes):
-    """Reconstruct a sketch encoded by :func:`to_bytes` (or by the
-    retired ``RPRO1`` encoder)."""
-    if bytes(data[:len(_MAGIC)]) == _MAGIC:
-        return _from_legacy_bytes(data)
+    """Reconstruct a sketch encoded by :func:`to_bytes`."""
     try:
         frame = decode_frame(data, expect_kind=KIND_SKETCH)
     except WireError as exc:
         raise ValueError(f"not a serialized sketch: {exc}") from exc
     return _instantiate(frame.header, frame.sections)
-
-
-def _from_legacy_bytes(data: bytes):
-    """One-release reader for pre-wire ``RPRO1`` blobs."""
-    header_len = int.from_bytes(data[5:9], "big")
-    header = json.loads(data[9:9 + header_len].decode("utf-8"))
-    buffer = io.BytesIO(data[9 + header_len:])
-    with np.load(buffer) as arrays:
-        state = [arrays[f"a{i}"] for i in range(len(arrays.files))]
-    return _instantiate(header, state)
 
 
 def _from_bytes_cls(cls, data: bytes):

@@ -1,11 +1,8 @@
 """The one framed binary format every serializer in this library emits.
 
-Before this package existed the repository carried three divergent
-encodings of the same idea ("send the memory contents over", Section 4
-of the paper): ``sketch/serialize.py`` (``RPRO1``), ``engine/
-checkpoint.py`` (``RPROCK`` zip-of-npz) and the comm/ layer's purely
-abstract bit accounting.  All of them now produce (or measure) one
-*wire frame*:
+Sketches (``sketch/serialize.py``), engine checkpoints (``engine/
+checkpoint.py``) and the comm/ layer's bit accounting all "send the
+memory contents over" (Section 4 of the paper) as one *wire frame*:
 
 ========  =======================================================
 bytes     meaning

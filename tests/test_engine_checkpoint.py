@@ -3,6 +3,7 @@ wire-format hardening (stale versions, garbage, tampered headers)."""
 
 import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ import pytest
 from repro.core import L0Sampler
 from repro.engine import (FORMAT_VERSION, ShardedPipeline, StaleCheckpoint,
                           checkpoint, clone, restore, state_arrays)
-from repro.wire import decode_frame, encode_frame
+from repro.service import Snapshot
+from repro.sketch import CountMin
+from repro.sketch.serialize import from_bytes
+from repro.wire import KIND_PIPELINE, decode_frame, encode_frame
 
 from _engine_cases import CASES, CASE_IDS, feed
 
@@ -304,95 +308,113 @@ class TestPipelineHeaderValidation:
         assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))
 
 
-def _legacy_structure_blob(obj, fmt: int = 2) -> bytes:
-    """Re-create a pre-wire (format-2 ``RPROCK``) checkpoint blob."""
-    from repro.engine import params_of
+def _retired_header(magic: bytes, header: dict) -> bytes:
+    """The retired pre-wire prefix: magic, 4-byte big-endian JSON
+    header length, JSON header."""
+    encoded = json.dumps(header).encode("utf-8")
+    return magic + len(encoded).to_bytes(4, "big") + encoded
 
-    header = json.dumps({
-        "format": fmt,
-        "class": type(obj).__name__,
-        "params": params_of(obj),
-    }).encode("utf-8")
+
+def _npz(arrays) -> bytes:
     buffer = io.BytesIO()
     np.savez(buffer, **{f"a{i}": np.asarray(a)
-                        for i, a in enumerate(state_arrays(obj))})
-    return (b"RPROCK" + len(header).to_bytes(4, "big") + header
-            + buffer.getvalue())
+                        for i, a in enumerate(arrays)})
+    return buffer.getvalue()
 
 
-def _legacy_pipeline_blob(header: dict, shard_blobs: list) -> bytes:
-    """Re-create a pre-wire (format-2 ``RPROPL``) pipeline blob."""
-    encoded = json.dumps(header).encode("utf-8")
-    out = io.BytesIO()
-    out.write(b"RPROPL")
-    out.write(len(encoded).to_bytes(4, "big"))
-    out.write(encoded)
-    for blob in shard_blobs:
-        out.write(len(blob).to_bytes(8, "big"))
-        out.write(blob)
-    return out.getvalue()
+def _retired_blobs() -> dict:
+    """One well-formed blob per retired pre-wire format: an ``RPRO1``
+    sketch, a format-2 ``RPROCK`` structure and a format-2 ``RPROPL``
+    pipeline holding that structure as its one shard."""
+    sketch = CountMin(64, buckets=8, rows=3, seed=1)
+    sketch.update_many(np.arange(16), np.ones(16, dtype=np.int64))
+    described = {"class": "CountMin", "params": sketch._params()}
+    structure = (_retired_header(b"RPROCK", {"format": 2, **described})
+                 + _npz(state_arrays(sketch)))
+    pipeline = (_retired_header(b"RPROPL", {
+        "format": 2, "partition": "hash", "chunk_size": 8, "cursor": 0,
+        "updates_ingested": 16, "shards": 1})
+        + len(structure).to_bytes(8, "big") + structure)
+    return {
+        "RPRO1": _retired_header(b"RPRO1", described)
+        + _npz(state_arrays(sketch)),
+        "RPROCK": structure,
+        "RPROPL": pipeline,
+    }
 
 
-class TestLegacyReaders:
-    """Blobs written by the previous release (format 2, ``RPROCK`` /
-    ``RPROPL`` magics) stay restorable for one release."""
+_READERS = {
+    "from_bytes": from_bytes,
+    "restore": restore,
+    "ShardedPipeline.restore": ShardedPipeline.restore,
+    "Snapshot.from_checkpoint": Snapshot.from_checkpoint,
+}
 
-    def test_legacy_structure_blob_restores(self):
-        sampler = L0Sampler(128, delta=0.2, seed=4)
-        sampler.update_many(np.arange(20), np.arange(1, 21))
-        twin = restore(_legacy_structure_blob(sampler))
-        assert type(twin) is L0Sampler
-        for a, b in zip(state_arrays(sampler), state_arrays(twin)):
-            assert np.array_equal(a, b)
 
-    def test_legacy_structure_older_than_legacy_rejected(self):
-        sampler = L0Sampler(64, seed=2)
-        with pytest.raises(StaleCheckpoint, match="format"):
-            restore(_legacy_structure_blob(sampler, fmt=1))
+class TestRetiredFormats:
+    """Only ``RPROWF`` wire frames are readable: every reader rejects
+    the retired pre-wire formats with a typed error."""
 
-    def test_legacy_pipeline_blob_restores(self):
-        pipeline = ShardedPipeline(lambda: L0Sampler(64, seed=1),
-                                   shards=2, chunk_size=8)
-        pipeline.ingest(np.arange(16), np.ones(16, dtype=np.int64))
-        shard_blobs = [_legacy_structure_blob(s)
-                       for s in pipeline.shard_instances]
-        legacy = _legacy_pipeline_blob({
-            "format": 2,
-            "partition": pipeline.partition,
-            "chunk_size": pipeline.chunk_size,
-            "cursor": 0,
-            "updates_ingested": pipeline.updates_ingested,
-            "shards": pipeline.shards,
-        }, shard_blobs)
-        restored = ShardedPipeline.restore(legacy)
-        assert restored.updates_ingested == 16
-        mine = state_arrays(pipeline.merged())
-        theirs = state_arrays(restored.merged())
-        assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    @pytest.mark.parametrize("magic", ["RPRO1", "RPROCK", "RPROPL"])
+    def test_rejected_by_every_reader(self, magic, reader):
+        with pytest.raises(ValueError):
+            _READERS[reader](_retired_blobs()[magic])
 
-    def test_legacy_pipeline_blob_restores_on_process_backend(self):
-        """The signature fast path must peek legacy shard headers too."""
-        pytest.importorskip("multiprocessing")
-        pipeline = ShardedPipeline(lambda: L0Sampler(64, seed=1),
-                                   shards=2, chunk_size=8)
-        pipeline.ingest(np.arange(16), np.ones(16, dtype=np.int64))
-        shard_blobs = [_legacy_structure_blob(s)
-                       for s in pipeline.shard_instances]
-        legacy = _legacy_pipeline_blob({
-            "format": 2,
-            "partition": pipeline.partition,
-            "chunk_size": pipeline.chunk_size,
-            "cursor": 0,
-            "updates_ingested": pipeline.updates_ingested,
-            "shards": pipeline.shards,
-        }, shard_blobs)
-        with ShardedPipeline.restore(legacy, backend="process") as restored:
-            mine = state_arrays(pipeline.merged())
-            theirs = state_arrays(restored.merged())
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(mine, theirs))
+    def test_hostile_shard_in_pipeline_frame_is_never_loaded(
+            self, monkeypatch):
+        """A follower's subscribe base is a pipeline frame whose shard
+        sections are peer-supplied bytes.  A retired-format shard whose
+        npz header declares a (2**47, 8) int64 array (8 PiB) must be
+        rejected as malformed before any payload parser sizes an
+        allocation from it."""
+        npy = io.BytesIO()
+        np.lib.format.write_array_header_1_0(npy, {
+            "descr": "<i8", "fortran_order": False, "shape": (2**47, 8)})
+        archive = io.BytesIO()
+        with zipfile.ZipFile(archive, "w") as bundle:
+            bundle.writestr("a0.npy", npy.getvalue())
+        shard = (_retired_header(b"RPROCK", {
+            "format": 2, "class": "CountMin",
+            "params": {"universe": 16, "buckets": 4, "rows": 2,
+                       "seed": 0}}) + archive.getvalue())
+        assert len(shard) < 512
+        frame = encode_frame(KIND_PIPELINE, {
+            "format": FORMAT_VERSION, "partition": "hash",
+            "chunk_size": 8, "cursor": 0, "updates_ingested": 0,
+            "shards": 1}, [np.frombuffer(shard, dtype=np.uint8)])
+        loads = []
+        real_load = np.load
 
-    def test_legacy_pipeline_stale_format_rejected(self):
-        legacy = _legacy_pipeline_blob({"format": 1}, [])
-        with pytest.raises(StaleCheckpoint):
-            ShardedPipeline.restore(legacy)
+        def spy(*args, **kwargs):
+            loads.append(args)
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(np, "load", spy)
+        with pytest.raises(ValueError):
+            ShardedPipeline.restore(frame)
+        assert loads == []
+
+
+class TestMalformedHeaders:
+    """Structure and sketch frames whose header cannot describe a
+    constructible twin raise ``ValueError``, never a bare
+    ``KeyError``/``TypeError``."""
+
+    @pytest.mark.parametrize("kind", ["structure", "sketch"])
+    @pytest.mark.parametrize("mutate", [
+        lambda header: header.pop("class"),
+        lambda header: header.update({"class": ["CountMin"]}),
+        lambda header: header.pop("params"),
+        lambda header: header.update(params=[64, 8, 3, 1]),
+        lambda header: header["params"].update(bogus=1),
+    ], ids=["no-class", "class-not-string", "no-params",
+            "params-not-object", "rejected-param"])
+    def test_rejected_with_value_error(self, kind, mutate):
+        sketch = CountMin(64, buckets=8, rows=3, seed=1)
+        if kind == "structure":
+            blob, read = checkpoint(sketch), restore
+        else:
+            blob, read = sketch.to_bytes(), from_bytes
+        with pytest.raises(ValueError):
+            read(_tamper_header(blob, mutate))

@@ -6,9 +6,8 @@ sketch keeps as ``_reference_update_many``.  These tests pin that
 contract for every fused sketch type over random batches including the
 edge shapes (empty, singleton, duplicate indices, multi-batch
 sequences), plus the underlying primitives: stacked hash families
-against their per-row originals, the counter-RNG block API against the
-per-stream calls, and the flattened-bincount scatter kernel against
-``np.add.at``.  The paper's L0 sampler (Theorem 2) rides the same
+against their per-row originals and the counter-RNG block API against
+the per-stream calls.  The paper's L0 sampler (Theorem 2) rides the same
 suite: its fused multi-level update against the per-level loop, in
 both level-derivation modes.
 """
@@ -22,7 +21,6 @@ from repro.engine import state_arrays
 from repro.hashing.kwise import BucketHash, KWiseHash, SignHash, derive_rngs
 from repro.hashing.prng import CounterRNG
 from repro.sketch import AMSSketch, CountMin, CountSketch, StableSketch
-from repro.sketch.kernels import scatter_add_flat, scatter_add_rows
 from repro.sketch.l0_estimator import L0Estimator
 
 UNIVERSE = 1 << 12
@@ -224,68 +222,6 @@ class TestCounterRNGBlocks:
         with pytest.raises(ValueError):
             rng.stable_block(0.0, np.arange(4, dtype=np.uint64),
                              np.arange(2, dtype=np.uint64))
-
-
-class TestScatterKernel:
-    """The flattened-bincount scatter: equal to np.add.at into zeros."""
-
-    def _reference(self, buckets, values, width, dtype):
-        out = np.zeros((buckets.shape[0], width), dtype=dtype)
-        weights = (values if values.ndim == 2
-                   else np.broadcast_to(values, buckets.shape))
-        for j in range(buckets.shape[0]):
-            np.add.at(out[j], buckets[j].astype(np.int64), weights[j])
-        return out
-
-    def test_float_weights_match_add_at(self):
-        rng = np.random.default_rng(3)
-        buckets = rng.integers(0, 32, size=(5, 900)).astype(np.uint64)
-        values = rng.standard_normal((5, 900))
-        out = scatter_add_rows(buckets, values, 32)
-        assert np.array_equal(out, self._reference(buckets, values, 32,
-                                                   np.float64))
-
-    def test_shared_1d_int_weights_match_add_at(self):
-        rng = np.random.default_rng(4)
-        buckets = rng.integers(0, 16, size=(3, 400)).astype(np.uint64)
-        values = rng.integers(-9, 9, size=400)
-        out = scatter_add_rows(buckets, values, 16)
-        assert out.dtype == values.dtype
-        assert np.array_equal(out, self._reference(buckets, values, 16,
-                                                   np.int64))
-
-    def test_int_weights_exact_beyond_float53(self):
-        """Past the float64-exact window the kernel must switch to the
-        native-int64 segmented sum and stay exact."""
-        buckets = np.array([[0, 0, 1, 0, 1, 1]], dtype=np.uint64)
-        values = np.array([2**60, 2**60, -(2**59), 5, 3, -(2**60)],
-                          dtype=np.int64)
-        out = scatter_add_rows(buckets, values[None, :], 2)
-        expected = np.array([[2**60 + 2**60 + 5,
-                              -(2**59) + 3 - 2**60]], dtype=np.int64)
-        assert np.array_equal(out, expected)
-
-    def test_empty_batch(self):
-        out = scatter_add_flat(np.array([], dtype=np.int64),
-                               np.array([], dtype=np.float64), 8)
-        assert out.shape == (8,) and not out.any()
-
-    def test_bincount_lane_matches_reference_from_fresh_state(self):
-        """The alternative bincount scatter lane: byte-identical to the
-        reference from a zero table (single batch — bincount folds the
-        batch before the table add, so multi-batch float runs differ
-        only in reassociation ulps, which is why it is a lane and not
-        the default)."""
-        rng = np.random.default_rng(9)
-        indices = rng.integers(0, UNIVERSE, size=3000)
-        deltas = rng.integers(-20, 20, size=3000)
-        for build in (lambda: CountSketch(UNIVERSE, m=8, rows=5, seed=2),
-                      lambda: CountMin(UNIVERSE, buckets=48, rows=5,
-                                       seed=2)):
-            lane, reference = build(), build()
-            lane._bincount_update_many(indices, deltas)
-            reference._reference_update_many(indices, deltas)
-            assert np.array_equal(lane.table, reference.table)
 
 
 class TestChunkedEstimation:

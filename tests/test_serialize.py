@@ -87,27 +87,6 @@ class TestWireFraming:
         for a, b in zip(cm._state_arrays(), clone._state_arrays()):
             assert np.array_equal(a, b)
 
-    def test_legacy_rpro1_blob_restores(self):
-        """Blobs from the retired pre-wire encoder stay readable for
-        one release."""
-        import io
-        import json
-
-        original = CountMin(200, buckets=16, rows=5, seed=3)
-        vector_to_stream(zipf_vector(200, scale=40, seed=5),
-                         seed=5).apply_to(original)
-        header = json.dumps({"class": "CountMin",
-                             "params": original._params()}).encode()
-        payload = io.BytesIO()
-        np.savez(payload, **{f"a{i}": arr for i, arr in
-                             enumerate(original._state_arrays())})
-        blob = (b"RPRO1" + len(header).to_bytes(4, "big") + header
-                + payload.getvalue())
-        clone = from_bytes(blob)
-        assert isinstance(clone, CountMin)
-        for a, b in zip(original._state_arrays(), clone._state_arrays()):
-            assert np.array_equal(a, b)
-
 
 class TestErrorHandling:
     def test_garbage_rejected(self):

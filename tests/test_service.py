@@ -345,13 +345,18 @@ class TestResultCache:
         with pytest.raises(ValueError, match="capacity"):
             ResultCache(capacity=-1)
 
-    def test_router_cache_hits_skip_recomputation(self):
+    def test_router_cache_hits_skip_recomputation(self, monkeypatch):
         calls = {"n": 0}
 
         class Probe:
             universe = 16
 
         from repro.engine import QueryCapability, register_query
+        from repro.engine import registry
+        # Both registry tables drop Probe on exit, so later tests (the
+        # live-tree registry audit among them) never see it.
+        monkeypatch.setitem(registry._QUERY_CAPS, "Probe", {})
+        monkeypatch.setitem(registry._QUERY_CLASSES, "Probe", Probe)
         register_query(Probe, QueryCapability(
             "probe", lambda obj, args: (calls.__setitem__("n",
                                                           calls["n"] + 1),
