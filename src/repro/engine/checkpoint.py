@@ -17,10 +17,14 @@ flat list of counter arrays.  A checkpoint therefore stores
 2. the leaf counter arrays, collected by a deterministic preorder walk
    of the component tree.
 
-Restore rebuilds the empty twin from the header (re-deriving every
-hash function from the seed) and loads the arrays back in walk order.
-Because reconstruction is deterministic, ``restore(checkpoint(x))``
-continues the stream exactly where ``x`` left off.
+Restore rebuilds the empty twin from the header and loads the arrays
+back in walk order.  Because reconstruction is deterministic,
+``restore(checkpoint(x))`` continues the stream exactly where ``x``
+left off.  Every twin comes from :func:`build_twin`, which runs the
+constructor (re-deriving every hash function from the seed) once per
+map and hands out deep copies of that prototype afterwards: the
+hashing objects are immutable and return themselves from
+``__deepcopy__``, so copies share the map and own their state.
 
 The same component walk powers two more engine primitives:
 
@@ -34,6 +38,9 @@ The same component walk powers two more engine primitives:
 
 from __future__ import annotations
 
+import copy
+import functools
+import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -133,8 +140,12 @@ _SPECS: dict[str, EngineSpec] = {}
 
 
 def register_spec(spec: EngineSpec) -> EngineSpec:
-    """Register (or replace) the engine spec for a class."""
+    """Register (or replace) the engine spec for a class.
+
+    Drops every memoized prototype, so a replaced spec never serves a
+    twin its predecessor built."""
     _SPECS[spec.cls.__name__] = spec
+    _prototype.cache_clear()
     return spec
 
 
@@ -237,16 +248,46 @@ def params_of(obj) -> dict:
     return spec_for(obj).params(obj)
 
 
+#: How many ``(class, params)`` prototypes :func:`build_twin` keeps;
+#: the least recently used one is dropped first.  Each holds one empty
+#: structure, so the bound caps the memo's memory whatever maps a peer
+#: names in the checkpoints it sends.
+_PROTOTYPE_SLOTS = 64
+
+
 def build_twin(class_name: str, params: dict):
     """An empty structure of the named class sharing the linear map;
     ``ValueError`` when the class is unknown or its constructor
-    rejects ``params``."""
+    rejects ``params``.
+
+    The constructor runs once per ``(class, canonical-JSON params)``:
+    its result is kept as a prototype (at most :data:`_PROTOTYPE_SLOTS`
+    of them, least recently used evicted) and every call returns
+    ``copy.deepcopy(prototype)``.  The hashing objects are immutable
+    and return themselves from ``__deepcopy__``, so the twin shares
+    the prototype's hash functions and owns copies of everything else:
+    the state arrays and mutable attributes such as the L0 sampler's
+    choice generator.  A constructor that raises caches nothing."""
     spec = _SPECS.get(class_name) if isinstance(class_name, str) else None
     if spec is None:
         raise ValueError(f"unknown engine class {class_name!r}")
     if not isinstance(params, dict):
         raise ValueError(f"{class_name} parameters must be a JSON "
                          f"object, not {params!r}")
+    try:
+        key = json.dumps(params, sort_keys=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{class_name} parameters are not JSON: "
+                         f"{exc}") from exc
+    return copy.deepcopy(_prototype(class_name, key))
+
+
+@functools.lru_cache(maxsize=_PROTOTYPE_SLOTS)
+def _prototype(class_name: str, params_json: str):
+    """The constructor-built twin :func:`build_twin` copies (never
+    handed out itself, so it stays empty)."""
+    spec = _SPECS[class_name]
+    params = json.loads(params_json)
     try:
         if spec.build is None:
             return spec.cls(**params)
@@ -257,7 +298,9 @@ def build_twin(class_name: str, params: dict):
 
 
 def clone(obj):
-    """An independent deep copy: twin construction + state copy."""
+    """An independent deep copy: a :func:`build_twin` twin (a copy of
+    the map's memoized prototype, its immutable hash objects shared)
+    with ``obj``'s state copied in."""
     twin = build_twin(type(obj).__name__, params_of(obj))
     _load_state(twin, [np.array(a, copy=True) for a in state_arrays(obj)])
     return twin
@@ -268,9 +311,11 @@ def fresh_twin(obj):
 
     The twin is exactly what the registered factory would have built:
     same class, same constructor parameters (hash seeds included), but
-    state sketching the zero vector.  Resharding seats folded shard
-    state next to fresh twins — by linearity the twins contribute
-    nothing to a merge until they ingest their own updates.
+    state sketching the zero vector.  It is a :func:`build_twin` copy
+    of the map's memoized prototype, so it derives no hash function
+    once that prototype exists.  Resharding seats folded shard state
+    next to fresh twins — by linearity the twins contribute nothing to
+    a merge until they ingest their own updates.
     """
     return build_twin(type(obj).__name__, params_of(obj))
 

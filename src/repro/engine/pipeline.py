@@ -494,7 +494,11 @@ class ShardedPipeline:
         returns an independent clone, so mutating one result — say,
         ingesting into it — never leaks into the next.  Ingestion and
         :meth:`reshard` invalidate the memo; the retained fold costs
-        one extra structure's worth of memory.
+        one extra structure's worth of memory.  A clone derives no
+        hash function: it deep-copies the map's memoized prototype,
+        sharing its immutable hashes, and copies the state in (see
+        :func:`~repro.engine.checkpoint.build_twin`), so its cost is
+        the state copy plus the structure's Python objects.
         """
         self._require_open()
         return clone(self._folded())

@@ -34,7 +34,18 @@ def _as_u64(values) -> np.ndarray:
     return np.asarray(values, dtype=np.uint64)
 
 
-class PrimeField:
+class Immutable:
+    """Base of the hashing objects, which never change once built:
+    ``copy.deepcopy`` returns the object itself, so a deep copy of a
+    structure shares its map and copies only its state."""
+
+    __slots__ = ()
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+class PrimeField(Immutable):
     """Vectorised arithmetic in GF(p) for a prime ``p < 2**32``.
 
     The bound on ``p`` guarantees ``mul`` cannot overflow uint64.

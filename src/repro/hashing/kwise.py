@@ -25,16 +25,22 @@ evaluated against a key batch in one batched Horner pass, producing a
 alone — the fused sketch kernels rely on this to stay equivalent to
 their per-row reference paths while paying numpy's per-call overhead
 ``k`` times instead of ``rows * k`` times.
+
+Every hash here is immutable once built: the coefficient arrays are
+read-only and ``copy.deepcopy`` returns the hash itself.  Deep copies
+of a structure therefore share its map and copy only its state, which
+is how the engine's twins stay cheap (see
+:func:`repro.engine.checkpoint.build_twin`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .field import DEFAULT_FIELD, PrimeField
+from .field import DEFAULT_FIELD, Immutable, PrimeField
 
 
-class KWiseHash:
+class KWiseHash(Immutable):
     """A k-wise independent function ``h : [u] -> GF(p)``.
 
     ``h(x) = sum_{j<k} c_j x**j  (mod p)`` with independently uniform
@@ -62,6 +68,7 @@ class KWiseHash:
         self.field = field
         self.coeffs = rng.integers(0, int(field.p), size=self.k,
                                    dtype=np.uint64)
+        self.coeffs.flags.writeable = False
         # A zero leading coefficient only lowers the degree, which is
         # harmless for independence, so no rejection sampling is needed.
 
@@ -84,7 +91,7 @@ class KWiseHash:
         return StackedKWiseHash(hashes)
 
 
-class StackedKWiseHash:
+class StackedKWiseHash(Immutable):
     """``rows`` k-wise hashes evaluated together: keys -> (rows, n) table.
 
     The coefficient vectors are stacked into a ``(rows, k)`` matrix and
@@ -108,6 +115,7 @@ class StackedKWiseHash:
         self.rows = len(hashes)
         self.field = head.field
         self.coeffs = np.stack([h.coeffs for h in hashes])  # (rows, k)
+        self.coeffs.flags.writeable = False
 
     #: Target working-set elements per Horner block (~128 KiB of
     #: uint64): the accumulator must stay cache-resident across the
@@ -154,7 +162,7 @@ class StackedKWiseHash:
         return out
 
 
-class BucketHash:
+class BucketHash(Immutable):
     """k-wise independent hash into ``range(buckets)``.
 
     Composes :class:`KWiseHash` with a modular range reduction.  The
@@ -189,7 +197,7 @@ class BucketHash:
         return StackedBucketHash(hashes)
 
 
-class StackedBucketHash:
+class StackedBucketHash(Immutable):
     """``rows`` bucket hashes evaluated together: keys -> (rows, n)."""
 
     __slots__ = ("_h", "buckets")
@@ -214,7 +222,7 @@ class StackedBucketHash:
                             else None)
 
 
-class SignHash:
+class SignHash(Immutable):
     """k-wise independent sign function ``g : [u] -> {-1, +1}``.
 
     Uses the parity of the field hash; returns int8 so sign arrays
@@ -246,7 +254,7 @@ class SignHash:
         return StackedSignHash(hashes)
 
 
-class StackedSignHash:
+class StackedSignHash(Immutable):
     """``rows`` sign hashes evaluated together: keys -> (rows, n) int8."""
 
     __slots__ = ("_h",)
@@ -275,7 +283,7 @@ class StackedSignHash:
         return self(keys) * np.asarray(values)
 
 
-class UniformScalarHash:
+class UniformScalarHash(Immutable):
     """k-wise independent map ``t : [u] -> (0, 1]``.
 
     This realises the scaling factors of the precision sampler
@@ -301,7 +309,7 @@ class UniformScalarHash:
         return self._h.space_bits()
 
 
-class SubsetHash:
+class SubsetHash(Immutable):
     """Pairwise (or higher) independent membership test for random level sets.
 
     The L0 sampler (Theorem 2) draws subsets ``I_k`` of ``[n]`` of

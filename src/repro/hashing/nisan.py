@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import MERSENNE61
+from .field import MERSENNE61, Immutable
 
 _MASK61 = (1 << 61) - 1
 
 
-class NisanPRG:
+class NisanPRG(Immutable):
     """Nisan's generator with random access to output blocks.
 
     Parameters
@@ -57,8 +57,11 @@ class NisanPRG:
         self.start = int(rng.integers(0, MERSENNE61))
         # h_i(x) = (mults[i] * x + adds[i]) mod 2^61-1, with mults != 0 so
         # each h_i is a bijection on the field (pairwise independent family).
-        self.mults = [int(rng.integers(1, MERSENNE61)) for _ in range(self.depth)]
-        self.adds = [int(rng.integers(0, MERSENNE61)) for _ in range(self.depth)]
+        # Tuples: deep copies share the generator, so the seed stays fixed.
+        self.mults = tuple(int(rng.integers(1, MERSENNE61))
+                           for _ in range(self.depth))
+        self.adds = tuple(int(rng.integers(0, MERSENNE61))
+                          for _ in range(self.depth))
 
     @property
     def num_blocks(self) -> int:

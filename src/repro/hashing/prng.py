@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .field import Immutable
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -45,7 +47,7 @@ def splitmix64(values) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-class CounterRNG:
+class CounterRNG(Immutable):
     """Deterministic random numbers addressed by (key, stream) counters.
 
     Two instances with the same ``seed`` produce identical outputs —

@@ -12,8 +12,8 @@ consistency:
 * every answer is stamped with an epoch = ``updates_ingested`` at
   snapshot capture, and equals the answer an offline pipeline stopped
   at that epoch would give;
-* queries never block writers (capture is flush + clone; queries run
-  against the frozen clone);
+* queries never block writers (capture is a merged clone, itself a
+  barrier; queries run against the frozen clone);
 * repeated queries are cheap: results are cached keyed by
   ``(epoch, op, args)``, which snapshot immutability makes provably
   safe;

@@ -7,9 +7,10 @@ capture, and the captured structure is an independent clone (the
 engine's :meth:`~repro.engine.pipeline.ShardedPipeline.merged` hands
 out clones of its memoized fold), so
 
-* readers never see a torn state: capture runs ``flush()`` first, so
-  the clone reflects exactly the ``epoch`` updates the counter claims,
-  even under the process backend where ingestion is asynchronous;
+* readers never see a torn state: ``merged()`` is itself a barrier,
+  so the clone reflects exactly the ``epoch`` updates the counter
+  claims, even under the process backend where ingestion is
+  asynchronous (see :meth:`Snapshot.capture`);
 * readers never block writers: after the clone is taken, ingestion
   proceeds against the live shards while queries run against the
   frozen copy;
@@ -63,12 +64,22 @@ class Snapshot:
     def capture(cls, pipeline: ShardedPipeline) -> "Snapshot":
         """Freeze a running pipeline's merged state.
 
-        ``flush()`` first: under the process backend ``updates_ingested``
-        counts *submitted* chunks, so the barrier guarantees the merged
-        clone contains every one of them before it is stamped with that
-        epoch.  (Serial flush is a no-op; submission is application.)
+        Under the process backend ``updates_ingested`` counts
+        *submitted* chunks, and ``merged()`` is already the barrier
+        that puts every one of them in the clone stamped with that
+        epoch, so no ``flush()`` runs here:
+
+        * a fresh fold pulls each worker's snapshot, and that reply
+          queues FIFO behind every chunk submitted to the worker;
+        * a memo hit at the same ``updates_ingested`` was pulled after
+          the last submit;
+        * the snapshot pull heals crashed workers and re-bases
+          supervised shards, as a flush would.
+
+        (Serial submission is application.)  The daemon still flushes
+        every ingest itself, because with ``refresh_every > 1`` most
+        ingests capture nothing.
         """
-        pipeline.flush()
         return cls(pipeline.merged(), pipeline.updates_ingested,
                    source="pipeline")
 
