@@ -1,28 +1,20 @@
-"""E-ING: the zero-copy ingestion fast path, measured end to end.
+"""E-ING: the fused sketch kernels, measured against their oracles.
 
-Two sweeps, one machine-readable report (``BENCH_ingest.json``):
-
-**Kernel sweep** — ``update_many`` throughput (updates/sec) for every
-fused sketch type against its per-row ``_reference_update_many``
-oracle, across batch sizes, with byte-identical state asserted per
-cell.  The fused win comes from stacked hashing: one cache-blocked
-Horner pass over all rows, one reduction per step, no per-row Python
-loop; both lanes scatter with (numpy >= 1.24, fast) ``np.add.at``.
-
-**Transport sweep** — process-backend ingestion throughput over shard
-counts and chunk sizes under both chunk transports (``pickle`` queues
-vs the shared-memory ``SlotRing``), with the merged state asserted
-byte-identical to the serial run.  shm pays a fixed per-chunk cost
-(semaphore + descriptor) and saves a per-byte cost (no serialise /
-pipe / deserialise), so it wins where the ROADMAP predicted: large
-chunks.
+One sweep, one machine-readable report (``BENCH_ingest.json``):
+``update_many`` throughput (updates/sec) for every fused sketch type
+against its per-row ``_reference_update_many`` oracle, across batch
+sizes, with byte-identical state asserted per cell.  The fused win
+comes from stacked hashing: one cache-blocked Horner pass over all
+rows, one reduction per step, no per-row Python loop; both lanes
+scatter with (numpy >= 1.24, fast) ``np.add.at``.  Process-backend
+ingestion is timed by ``bench_engine.py``'s K sweep.
 
 Hard floors (also enforced by the CI smoke): fused >= 2x reference on
 count-sketch at batch 4096; fused >= reference for every hashed-table
 sketch at batch 4096 (the p-stable sketch is transcendental-bound, so
 its fused path is only asserted not to regress past 0.85x — the
 stacked pass exists there for API uniformity and wins modestly at
-engine chunk sizes); shm >= 1.2x pickle at K=4, chunk 65536.
+engine chunk sizes).
 
     PYTHONPATH=src python benchmarks/bench_ingest.py
 """
@@ -34,14 +26,14 @@ import time
 
 import numpy as np
 
-from repro.engine import ShardedPipeline, state_arrays
+from repro.engine import state_arrays
 from repro.sketch import AMSSketch, CountMin, CountSketch, StableSketch
 
 from _common import print_table
 
 #: Bumped when the BENCH_ingest.json layout changes (2: kernel rows
-#: dropped ``bincount_per_s``).
-REPORT_SCHEMA = 2
+#: dropped ``bincount_per_s``; 3: the transport sweep is gone).
+REPORT_SCHEMA = 3
 
 BATCH_SIZES = (1024, 4096, 16384)
 
@@ -65,31 +57,12 @@ KERNEL_FLOORS = {
     "stable": 0.85,               # transcendental-bound; see module doc
 }
 
-TRANSPORT_UNIVERSE = 1 << 12
-TRANSPORT_SHARDS = (1, 2, 4)
-TRANSPORT_CHUNKS = (16384, 65536)
-
-#: (shards, chunk) cell that must clear TRANSPORT_FLOOR.
-TRANSPORT_FLOOR_CELL = (4, 65536)
-TRANSPORT_FLOOR = 1.2
-
-
-def _transport_factory():
-    """A deliberately light shard structure so the sweep measures the
-    transport, not the kernel: 2 hash rows, small table, int64 state
-    (byte-identical across any execution plan)."""
-    return CountMin(TRANSPORT_UNIVERSE, buckets=256, rows=2, seed=7)
-
-
 KERNEL_HEADER = ["structure", "batch", "fused/s", "reference/s",
                  "speedup", "byte-identical"]
 
-TRANSPORT_HEADER = ["transport", "K", "chunk", "updates/s",
-                    "byte-identical"]
 
-
-def _workload(universe: int, updates: int, seed: int = 0):
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x16E57)))
+def _workload(universe: int, updates: int):
+    rng = np.random.default_rng(np.random.SeedSequence((0, 0x16E57)))
     indices = rng.integers(0, universe, size=updates, dtype=np.int64)
     deltas = rng.integers(-5, 11, size=updates, dtype=np.int64)
     deltas[deltas == 0] = 1
@@ -157,57 +130,12 @@ def kernel_experiment(updates: int = 131_072, repeats: int = 5):
     return records
 
 
-def transport_experiment(chunks_per_cell: int = 8, repeats: int = 3):
-    records = []
-    for chunk in TRANSPORT_CHUNKS:
-        updates = chunks_per_cell * chunk
-        indices, deltas = _workload(TRANSPORT_UNIVERSE, updates, seed=1)
-        single = _transport_factory()
-        single.update_many(indices, deltas)
-        for shards in TRANSPORT_SHARDS:
-            for transport in ("pickle", "shm"):
-                best, identical = 0.0, True
-                for _ in range(repeats):
-                    with ShardedPipeline(_transport_factory,
-                                         shards=shards,
-                                         partition="round_robin",
-                                         chunk_size=chunk,
-                                         backend="process",
-                                         transport=transport) as pipeline:
-                        start = time.perf_counter()
-                        pipeline.ingest(indices, deltas)
-                        pipeline.flush()   # queued != done
-                        best = max(best, updates
-                                   / (time.perf_counter() - start))
-                        identical = identical and _states_identical(
-                            single, pipeline.merged())
-                records.append({
-                    "transport": transport,
-                    "shards": shards,
-                    "chunk_size": chunk,
-                    "updates": updates,
-                    "updates_per_s": best,
-                    "byte_identical": identical,
-                })
-    return records
-
-
 def _kernel_speedups(records) -> dict:
     return {f"{r['structure']}@{r['batch']}": r["speedup"]
             for r in records}
 
 
-def _transport_speedups(records) -> dict:
-    by_cell = {}
-    for r in records:
-        by_cell.setdefault((r["shards"], r["chunk_size"]), {})[
-            r["transport"]] = r["updates_per_s"]
-    return {f"K{k}@chunk{c}": lanes["shm"] / lanes["pickle"]
-            for (k, c), lanes in sorted(by_cell.items())
-            if "shm" in lanes and "pickle" in lanes}
-
-
-def check_floors(kernel_records, transport_records) -> list[str]:
+def check_floors(kernel_records) -> list[str]:
     """Every violated hard floor, as human-readable complaints.
 
     A kernel floor is met when *any* batch >= 4096 clears it (the
@@ -217,7 +145,7 @@ def check_floors(kernel_records, transport_records) -> list[str]:
     2.4x kernel.
     """
     complaints = []
-    for r in kernel_records + transport_records:
+    for r in kernel_records:
         if not r["byte_identical"]:
             complaints.append(f"state diverged: {r}")
     best = {}
@@ -230,30 +158,18 @@ def check_floors(kernel_records, transport_records) -> list[str]:
             complaints.append(
                 f"{structure} fused speedup {best[structure]:.2f}x "
                 f"< {floor}x at every batch >= 4096")
-    ratios = _transport_speedups(transport_records)
-    cell = f"K{TRANSPORT_FLOOR_CELL[0]}@chunk{TRANSPORT_FLOOR_CELL[1]}"
-    if cell in ratios and ratios[cell] < TRANSPORT_FLOOR:
-        complaints.append(
-            f"shm/pickle {ratios[cell]:.2f}x < {TRANSPORT_FLOOR}x at "
-            f"{cell}")
     return complaints
 
 
-def write_report(kernel_records, transport_records, path: str) -> dict:
+def write_report(kernel_records, path: str) -> dict:
     report = {
         "bench": "ingest",
         "schema": REPORT_SCHEMA,
         "cpu_count": os.cpu_count(),
         "batch_sizes": list(BATCH_SIZES),
-        "transport_shards": list(TRANSPORT_SHARDS),
-        "transport_chunks": list(TRANSPORT_CHUNKS),
         "kernel_floors": dict(KERNEL_FLOORS),
-        "transport_floor": {"cell": list(TRANSPORT_FLOOR_CELL),
-                            "min_speedup": TRANSPORT_FLOOR},
         "kernel_rows": kernel_records,
-        "transport_rows": transport_records,
         "kernel_speedups": _kernel_speedups(kernel_records),
-        "transport_speedups": _transport_speedups(transport_records),
     }
     with open(path, "w") as handle:
         json.dump(report, handle, indent=2)
@@ -268,12 +184,6 @@ def _kernel_rows(records):
             for r in records]
 
 
-def _transport_rows(records):
-    return [[r["transport"], r["shards"], r["chunk_size"],
-             f"{r['updates_per_s']:,.0f}", r["byte_identical"]]
-            for r in records]
-
-
 def test_ingest_kernels(benchmark):
     records = benchmark.pedantic(kernel_experiment,
                                  kwargs=dict(updates=32_768, repeats=2),
@@ -285,29 +195,13 @@ def test_ingest_kernels(benchmark):
         assert record["fused_per_s"] > 0
 
 
-def test_ingest_transports(benchmark):
-    records = benchmark.pedantic(transport_experiment,
-                                 kwargs=dict(chunks_per_cell=4,
-                                             repeats=2),
-                                 rounds=1, iterations=1)
-    print_table("E-ING: shm vs pickle transport", TRANSPORT_HEADER,
-                _transport_rows(records))
-    for record in records:
-        assert record["byte_identical"] is True
-        assert record["updates_per_s"] > 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--kernel-updates", type=int, default=131_072,
                         help="workload size per kernel cell")
-    parser.add_argument("--transport-chunks-per-cell", type=int, default=8,
-                        help="chunks ingested per transport cell")
     parser.add_argument("--kernel-repeats", type=int, default=5,
                         help="kernel timing repeats (best-of, "
                              "lane-interleaved)")
-    parser.add_argument("--transport-repeats", type=int, default=3,
-                        help="transport timing repeats (best-of)")
     parser.add_argument("--skip-floors", action="store_true",
                         help="report only; do not enforce the hard "
                              "floors (exploration on busy machines)")
@@ -317,19 +211,13 @@ def main(argv=None) -> int:
 
     kernel_records = kernel_experiment(args.kernel_updates,
                                        args.kernel_repeats)
-    transport_records = transport_experiment(
-        args.transport_chunks_per_cell, args.transport_repeats)
-    report = write_report(kernel_records, transport_records, args.out)
+    write_report(kernel_records, args.out)
 
     print_table("E-ING: fused vs reference kernels (updates/s)",
                 KERNEL_HEADER, _kernel_rows(kernel_records))
-    print_table("E-ING: shm vs pickle transport (updates/s)",
-                TRANSPORT_HEADER, _transport_rows(transport_records))
-    for cell, ratio in report["transport_speedups"].items():
-        print(f"shm/pickle at {cell}: {ratio:.2f}x")
     print(f"report written to {args.out}")
 
-    complaints = check_floors(kernel_records, transport_records)
+    complaints = check_floors(kernel_records)
     if complaints and not args.skip_floors:
         for complaint in complaints:
             print(f"FLOOR VIOLATED: {complaint}")

@@ -2,10 +2,11 @@
 
 The contracts this repository previously enforced by review convention
 (seeded randomness only, registry completeness, kernel/oracle pairing,
-parent-owned shm lifecycle, versioned checkpoint payloads, explicit
-numpy dtypes) are expressed here as named, suppressible rules that run
-as a blocking CI gate ahead of the test lanes.  See the README's
-"Static analysis" section for the rule table and suppression syntax.
+multiprocessing confined to the worker module, versioned checkpoint
+payloads, explicit numpy dtypes) are expressed here as named,
+suppressible rules that run as a blocking CI gate ahead of the test
+lanes.  See the README's "Static analysis" section for the rule
+table and suppression syntax.
 
 Entry points: the ``repro lint`` CLI subcommand, or programmatically::
 

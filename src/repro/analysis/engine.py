@@ -37,9 +37,10 @@ class LintConfig:
     #: Subtrees whose library state must be deterministic (R001).
     state_paths: tuple = ("core", "sketch", "hashing", "engine", "service")
     #: The only modules allowed to touch multiprocessing (R004).
-    mp_modules: tuple = ("engine/workers.py", "engine/shm.py")
-    #: The only modules allowed to construct SharedMemory (R004).
-    shm_modules: tuple = ("engine/shm.py",)
+    mp_modules: tuple = ("engine/workers.py",)
+    #: The only modules allowed to construct SharedMemory (R004); none:
+    #: chunks reach workers through queues.
+    shm_modules: tuple = ()
     #: Subtrees subject to the numpy-overflow rules (R006).
     numeric_paths: tuple = ("sketch", "hashing")
     #: Subtrees whose ``async def`` bodies must not block (R007).

@@ -1,9 +1,9 @@
 """The rule API of ``repro lint``: findings, rules, per-file context.
 
 Every invariant the project enforces by convention — CounterRNG-only
-randomness, kernel/oracle pairing, parent-owned shm lifecycle, stable
-checkpoint payloads — is expressed as a :class:`Rule` with a stable id
-(``R001``...).  A rule inspects parsed source (``ast`` trees, never
+randomness, kernel/oracle pairing, multiprocessing confined to the
+worker module, stable checkpoint payloads — is expressed as a
+:class:`Rule` with a stable id (``R001``...).  A rule inspects parsed source (``ast`` trees, never
 regexes over code) and emits :class:`Finding` records; the engine in
 :mod:`repro.analysis.engine` applies inline suppressions and formats
 the survivors.

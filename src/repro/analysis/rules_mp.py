@@ -1,13 +1,11 @@
 """R004 — multiprocessing/shared-memory hygiene.
 
-The process backend's crash-safety story (never hang, parent-owned
-segment lifecycle, resource-tracker unregistration) depends on every
-multiprocessing primitive living in exactly two modules:
-``engine/workers.py`` (queues, processes, semaphores) and
-``engine/shm.py`` (the ``SharedMemory`` slot ring).  A ``SharedMemory``
-constructed anywhere else would not inherit the parent-owns-unlink
-convention and leaks segments on crash — the kind of bug that only
-shows up as ``/dev/shm`` filling on a long-lived host.
+The process backend's crash-safety story (never hang, every worker
+reaped at close) depends on every multiprocessing primitive living in
+``engine/workers.py`` (queues and processes).  No module constructs
+``SharedMemory`` (the default ``shm_modules`` is empty): a segment
+without a parent that unlinks it leaks on crash — the kind of bug
+that only shows up as ``/dev/shm`` filling on a long-lived host.
 
 Checked over the whole package:
 
@@ -41,8 +39,9 @@ def _creates(call: ast.Call) -> bool:
 
 class MpShmHygieneRule(Rule):
     rule_id = "R004"
-    title = ("multiprocessing only in the worker/shm modules; every "
-             "SharedMemory create site paired with close()+unlink()")
+    title = ("multiprocessing only in the worker module; SharedMemory "
+             "only in shm_modules, every create site paired with "
+             "close()+unlink()")
     rationale = ("segments created outside the parent-owned lifecycle "
                  "leak on crash; mp primitives elsewhere dodge the "
                  "never-hang contract")
@@ -67,7 +66,7 @@ class MpShmHygieneRule(Rule):
                             info, node.lineno,
                             "multiprocessing imported outside "
                             f"{'/'.join(ctx.config.mp_modules)}; worker "
-                            "and shm lifecycle code is the only place "
+                            "code is the only place "
                             "process primitives belong"))
             elif isinstance(node, ast.ImportFrom) and not mp_allowed:
                 if (node.module or "").split(".")[0] == "multiprocessing":
@@ -75,17 +74,18 @@ class MpShmHygieneRule(Rule):
                         info, node.lineno,
                         "multiprocessing imported outside "
                         f"{'/'.join(ctx.config.mp_modules)}; worker "
-                        "and shm lifecycle code is the only place "
+                        "code is the only place "
                         "process primitives belong"))
             elif isinstance(node, ast.Call) \
                     and _is_shared_memory(node.func):
                 if not shm_allowed:
                     out.append(self.finding(
                         info, node.lineno,
-                        "SharedMemory constructed outside "
-                        f"{'/'.join(ctx.config.shm_modules)}; segments "
-                        "must live in the parent-owned slot-ring "
-                        "lifecycle"))
+                        "SharedMemory constructed outside the "
+                        "shm_modules allowlist "
+                        f"({'/'.join(ctx.config.shm_modules) or 'empty'}"
+                        "); a segment needs a parent-owned close()+"
+                        "unlink() lifecycle"))
                 elif _creates(node):
                     owner = class_stack[-1] if class_stack else None
                     if owner is None:

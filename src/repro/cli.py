@@ -78,12 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="serial",
                         help="where shard updates execute: this process "
                              "or one worker process per shard")
-    engine.add_argument("--transport", choices=["pickle", "shm"],
-                        default=None,
-                        help="process-backend chunk transport: pickle "
-                             "chunks through worker queues (default) or "
-                             "ship them zero-copy via shared-memory "
-                             "slot rings")
     engine.add_argument("--reshard-at", type=int, default=None,
                         metavar="UPDATE",
                         help="reshard the live pipeline after this many "
@@ -121,10 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--chunk", type=int, default=4096)
     serve.add_argument("--backend", choices=["serial", "process"],
                        default="serial")
-    serve.add_argument("--transport", choices=["pickle", "shm"],
-                       default=None,
-                       help="process-backend chunk transport (pickle "
-                            "or zero-copy shm slot rings)")
     serve.add_argument("--queries", default=None, metavar="SPEC",
                        help="comma-separated ops, each 'op' or "
                             "'op:arg' (e.g. "
@@ -200,10 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     daemon.add_argument("--chunk", type=int, default=4096)
     daemon.add_argument("--backend", choices=["serial", "process"],
                         default="serial")
-    daemon.add_argument("--transport", choices=["pickle", "shm"],
-                        default=None,
-                        help="process-backend chunk transport (pickle "
-                             "or zero-copy shm slot rings)")
     daemon.add_argument("--refresh-every", type=int, default=None,
                         metavar="N",
                         help="auto-capture a snapshot every N ingested "
@@ -415,10 +401,6 @@ def _cmd_engine(args) -> int:
     if args.reshard_to is not None and args.reshard_to < 1:
         print("error: --reshard-to must be at least 1", file=sys.stderr)
         return 2
-    if args.transport is not None and args.backend != "process":
-        print("error: --transport requires --backend process",
-              file=sys.stderr)
-        return 2
     if args.reshard_at is not None and args.checkpoint_format != "full":
         print("error: --checkpoint-format delta needs the "
               "checkpoint/restore demo (drop --reshard-at)",
@@ -451,13 +433,10 @@ def _cmd_engine(args) -> int:
                                shards=args.shards,
                                partition=args.partition,
                                chunk_size=args.chunk,
-                               backend=args.backend,
-                               transport=args.transport)
-    transport_note = (f", transport={pipeline.transport}"
-                      if pipeline.transport is not None else "")
+                               backend=args.backend)
     print(f"engine: {args.structure} x {args.shards} shards "
           f"({args.partition}, chunk={args.chunk}, "
-          f"backend={args.backend}{transport_note}) over n={n}")
+          f"backend={args.backend}) over n={n}")
 
     if args.reshard_at is not None:
         # elastic K: grow (or shrink) the live pipeline mid-stream and
@@ -493,7 +472,6 @@ def _cmd_engine(args) -> int:
                                     compress=args.compress)
         pipeline.close()
         pipeline = ShardedPipeline.restore(base, backend=args.backend,
-                                           transport=args.transport,
                                            deltas=[delta])
         pipeline.ingest(indices[half:], deltas[half:])
         pipeline.flush()           # count applied updates, not queued ones
@@ -513,8 +491,7 @@ def _cmd_engine(args) -> int:
         pipeline.ingest(indices[:half], deltas[:half])
         blob = pipeline.checkpoint(compress=args.compress)
         pipeline.close()
-        pipeline = ShardedPipeline.restore(blob, backend=args.backend,
-                                           transport=args.transport)
+        pipeline = ShardedPipeline.restore(blob, backend=args.backend)
         pipeline.ingest(indices[half:], deltas[half:])
         pipeline.flush()           # count applied updates, not queued ones
         elapsed = time.perf_counter() - start
@@ -716,8 +693,6 @@ def _cmd_serve(args) -> int:
         if args.cache_size < 0:
             raise ValueError(
                 f"--cache-size must be >= 0, not {args.cache_size}")
-        if args.transport is not None and args.backend != "process":
-            raise ValueError("--transport requires --backend process")
         policy = _serve_policy(args, max(1, args.updates // args.batches))
         spec = (args.queries if args.queries is not None
                 else _SERVE_DEFAULT_QUERIES[args.structure])
@@ -743,8 +718,7 @@ def _cmd_serve(args) -> int:
     pipeline = ShardedPipeline(factories[args.structure],
                                shards=args.shards,
                                chunk_size=args.chunk,
-                               backend=args.backend,
-                               transport=args.transport)
+                               backend=args.backend)
     print(f"serving {args.structure} x {args.shards} shards "
           f"(backend={args.backend}, refresh every {refresh} updates, "
           f"keep {args.keep} epochs, cache {args.cache_size}) over "
@@ -775,9 +749,6 @@ def _cmd_serve(args) -> int:
               f"ingested {stats.ingest_updates} updates; "
               f"reshards: {stats.reshards} "
               f"(final K={svc.pipeline.shards})")
-        if args.transport == "shm":
-            print(f"shm fallbacks: {stats.shm_fallbacks} chunks rode "
-                  f"the pickle path")
         if args.checkpoint_out is not None:
             blob = svc.pipeline.checkpoint(
                 compress=args.compress or "none")
@@ -909,8 +880,6 @@ def _cmd_daemon(args) -> int:
             raise ValueError(
                 f"--max-subscribers must be >= 1, not "
                 f"{args.max_subscribers}")
-        if args.transport is not None and args.backend != "process":
-            raise ValueError("--transport requires --backend process")
         policy = _serve_policy(args, 256)
         if args.listen is None:
             extras = [flag for flag, value in
@@ -940,8 +909,7 @@ def _cmd_daemon(args) -> int:
     pipeline = ShardedPipeline(factories[args.structure],
                                shards=args.shards,
                                chunk_size=args.chunk,
-                               backend=args.backend,
-                               transport=args.transport)
+                               backend=args.backend)
 
     async def _run(svc) -> None:
         server = ReproServer(

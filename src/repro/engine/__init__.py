@@ -35,9 +35,8 @@ from .delta import (DeltaError, OutOfOrderDelta, WrongBaseDelta,
                     state_digest)
 from .follower import FollowerPipeline
 from .pipeline import DELTA_BASE_RETENTION, ShardedPipeline
-from .shm import SlotRing
-from .workers import (BACKENDS, TRANSPORTS, ProcessPool, RestartPolicy,
-                      SerialPool, WorkerCrashed, WorkerPool, build_pool)
+from .workers import (BACKENDS, ProcessPool, RestartPolicy, SerialPool,
+                      Supervisor, WorkerCrashed, WorkerPool, build_pool)
 
 from . import registry as _registry  # noqa: F401  (fills the registry)
 from .registry import (QueryCapability, UnsupportedQuery, audit,
@@ -48,8 +47,7 @@ __all__ = [
     "BACKENDS", "DELTA_BASE_RETENTION", "DeltaError", "FORMAT_VERSION",
     "EngineSpec", "FollowerPipeline", "IncompatibleShards",
     "OutOfOrderDelta", "ProcessPool", "QueryCapability", "RestartPolicy",
-    "SerialPool",
-    "SlotRing", "StaleCheckpoint", "TRANSPORTS", "UnsupportedQuery",
+    "SerialPool", "StaleCheckpoint", "Supervisor", "UnsupportedQuery",
     "WorkerCrashed", "WorkerPool", "WrongBaseDelta", "build_pool", "audit",
     "checkpoint", "clone", "fresh_twin", "is_exact", "is_registered",
     "is_shardable", "map_mismatches", "merge_into", "params_of",

@@ -172,8 +172,8 @@ class FollowerPipeline:
 
     # -- promotion -----------------------------------------------------------
 
-    def promote(self, backend: str = "serial", shards: int = 1,
-                transport: str | None = None) -> ShardedPipeline:
+    def promote(self, backend: str = "serial",
+                shards: int = 1) -> ShardedPipeline:
         """Turn the standby into a live :class:`ShardedPipeline`.
 
         The promoted pipeline's ``merged()`` is byte-identical to the
@@ -194,5 +194,4 @@ class FollowerPipeline:
         frame = encode_frame(KIND_PIPELINE, header,
                              [np.frombuffer(blob, dtype=np.uint8)])
         return ShardedPipeline.restore(frame, backend=backend,
-                                       shards=shards,
-                                       transport=transport)
+                                       shards=shards)

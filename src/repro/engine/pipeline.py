@@ -66,7 +66,7 @@ from .checkpoint import (FORMAT_VERSION, IncompatibleShards, StaleCheckpoint,
 from .delta import (DeltaError, OutOfOrderDelta,
                     apply as apply_delta, decode as decode_delta,
                     encode as encode_delta)
-from .workers import BACKENDS, TRANSPORTS, ProcessPool, build_pool
+from .workers import BACKENDS, ProcessPool, build_pool
 
 #: How many epochs of delta bases a pipeline retains for
 #: ``checkpoint(since=...)``.  Each base is one merged state's worth of
@@ -162,30 +162,6 @@ def _seat_states(folded, shards: int) -> list:
     return [folded] + [fresh_twin(folded) for _ in range(shards - 1)]
 
 
-def _validated_transport(backend: str, transport: str | None):
-    """The effective transport for a backend; loud on misuse.
-
-    ``None`` in means "the backend's default" (pickle for process).
-    Naming a transport on the serial backend is an error rather than a
-    silent no-op — a caller who asked for shm and got in-process
-    execution should hear about it — and a serial pipeline's effective
-    transport is ``None`` out: it has no chunk transport, and claiming
-    ``"pickle"`` would misreport the surface.
-    """
-    if backend != "process":
-        if transport is not None:
-            raise ValueError(
-                f"transport={transport!r} requires backend='process' "
-                f"(the serial backend has no chunk transport)")
-        return None
-    if transport is None:
-        return "pickle"
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"transport must be one of {TRANSPORTS}, not {transport!r}")
-    return transport
-
-
 def _proven(pool):
     """The pool, once a flush barrier proves every worker healthy —
     a worker that fails to restore its blob surfaces here, and the
@@ -222,17 +198,6 @@ class ShardedPipeline:
     backend:
         ``"serial"`` (in-process, default) or ``"process"`` (one
         worker process per shard).
-    transport:
-        How the process backend ships routed chunks to its workers:
-        ``"pickle"`` (default) serialises them through the worker
-        queues, ``"shm"`` writes them into per-worker shared-memory
-        slot rings and queues only slot descriptors — zero pickling,
-        one memcpy (see :mod:`repro.engine.shm`).  Slot capacity is
-        this pipeline's ``chunk_size``, so every routed chunk fits.
-        Like the backend, the transport is an execution choice, not
-        part of the checkpoint wire format.  Rejected for the serial
-        backend (it has no transport to select; a serial pipeline's
-        ``transport`` attribute reads ``None``).
     faults:
         A :class:`~repro.faults.FaultPlan` for deterministic fault
         injection (``None`` — the default — is inert).  An execution
@@ -248,8 +213,7 @@ class ShardedPipeline:
 
     def __init__(self, factory, shards: int = 4, partition: str = "hash",
                  chunk_size: int = 4096, backend: str = "serial",
-                 transport: str | None = None, faults=None,
-                 restarts=None):
+                 faults=None, restarts=None):
         if shards < 1:
             raise ValueError("need at least one shard")
         if partition not in _PARTITIONS:
@@ -262,7 +226,6 @@ class ShardedPipeline:
         self.partition = partition
         self.chunk_size = int(chunk_size)
         self.backend = backend
-        self.transport = _validated_transport(backend, transport)
         self.faults = faults          # FaultPlan | None (execution knob)
         self.restart_policy = restarts  # RestartPolicy | None
         self.updates_ingested = 0
@@ -271,7 +234,6 @@ class ShardedPipeline:
         self._poisoned = False  # a chunk failed after partial fan-out
         self._merged_cache = None  # (epoch, folded) — see merged()
         self._delta_bases = OrderedDict()  # epoch -> merged state arrays
-        self._shm_fallbacks_base = 0  # carried across reshards
         self._restarts_base = 0       # carried across reshards
         built = [factory() for _ in range(int(shards))]
         self._validate_shards(built)
@@ -279,9 +241,7 @@ class ShardedPipeline:
         self._k = len(built)
         # Under "process" the workers restore from checkpoint blobs,
         # so the factory (often a closure) never crosses the boundary.
-        self._pool = build_pool(backend, built, transport=self.transport,
-                                slot_updates=self.chunk_size,
-                                faults=self.faults,
+        self._pool = build_pool(backend, built, faults=self.faults,
                                 policy=self.restart_policy)
 
     @staticmethod
@@ -362,22 +322,12 @@ class ShardedPipeline:
         return self._pool.structures()
 
     @property
-    def shm_fallbacks(self) -> int:
-        """How many routed chunks the shm transport could not fit in a
-        slot and shipped over the pickle queue instead (0 for the
-        serial backend and the pickle transport).  Carried across
-        :meth:`reshard`; surfaced in ``ServiceStats`` by the query
-        service so an undersized slot ring is visible, not silent."""
-        return self._shm_fallbacks_base + getattr(
-            self._pool, "shm_fallbacks", 0)
-
-    @property
     def worker_restarts(self) -> int:
         """How many supervised worker restarts have healed this
         pipeline (0 without a :class:`RestartPolicy`).  Carried across
         :meth:`reshard`; surfaced in ``ServiceStats`` so self-healing
         is observable, not silent."""
-        return self._restarts_base + getattr(self._pool, "restarts", 0)
+        return self._restarts_base + self._pool.supervisor.restarts
 
     @property
     def healthy(self) -> bool:
@@ -387,7 +337,7 @@ class ShardedPipeline:
         flush barrier).  The query service keys degraded serving off
         this."""
         return not (self._closed or self._poisoned
-                    or getattr(self._pool, "_fatal", None) is not None)
+                    or self._pool.supervisor.fatal is not None)
 
     @property
     def delta_epochs(self) -> tuple:
@@ -558,13 +508,10 @@ class ShardedPipeline:
                             clone_targets=self._pool.shares_state)
         new_pool = _proven(build_pool(self.backend,
                                       _seat_states(folded, new_k),
-                                      transport=self.transport,
-                                      slot_updates=self.chunk_size,
                                       faults=self.faults,
                                       policy=self.restart_policy))
         old_pool, self._pool = self._pool, new_pool
-        self._shm_fallbacks_base += getattr(old_pool, "shm_fallbacks", 0)
-        self._restarts_base += getattr(old_pool, "restarts", 0)
+        self._restarts_base += old_pool.supervisor.restarts
         self._k = new_k
         self.partition = partition
         self._cursor = 0
@@ -657,9 +604,7 @@ class ShardedPipeline:
 
     @classmethod
     def restore(cls, data: bytes, backend: str = "serial",
-                shards: int | None = None,
-                transport: str | None = None,
-                deltas=(), faults=None,
+                shards: int | None = None, deltas=(), faults=None,
                 restarts=None) -> "ShardedPipeline":
         """Rebuild a pipeline from :meth:`checkpoint`; resume ingesting.
 
@@ -669,13 +614,12 @@ class ShardedPipeline:
         framed payload all raise ``ValueError``) and the frame must
         end exactly at the last shard section — trailing garbage is
         rejected rather than silently ignored.  ``backend`` chooses
-        where the restored shards execute and ``transport`` how the
-        process backend ships chunks to them; both are execution
-        choices, not part of the wire format — a blob written under
-        one combination restores under any other.  ``faults`` /
-        ``restarts`` attach a fault plan and a supervised restart
-        policy to the restored pipeline — execution knobs like the
-        backend, never part of the blob.
+        where the restored shards execute — an execution choice, not
+        part of the wire format: a blob written under one backend
+        restores under the other.  ``faults`` / ``restarts`` attach a
+        fault plan and a supervised restart policy to the restored
+        pipeline — execution knobs like the backend, never part of
+        the blob.
 
         ``shards`` optionally restores onto a *different* shard count
         than the checkpoint was taken at: the checkpointed states are
@@ -722,7 +666,6 @@ class ShardedPipeline:
         if backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, not {backend!r}")
-        transport = _validated_transport(backend, transport)
         delta_blobs = [bytes(blob) for blob in deltas]
         if shards is not None and int(shards) != declared:
             new_k = int(shards)
@@ -749,9 +692,8 @@ class ShardedPipeline:
                         f"shard blob {i} ({blob_class}, {blob_params}) "
                         f"does not share shard 0's map "
                         f"({head_class}, {head_params})")
-            pool = _proven(ProcessPool(blobs, transport=transport,
-                                       slot_updates=chunk_size,
-                                       faults=faults, policy=restarts))
+            pool = _proven(ProcessPool(blobs, faults=faults,
+                                       policy=restarts))
         else:
             states = [restore_blob(blob) for blob in blobs]
             cls._validate_shards(states)
@@ -782,15 +724,12 @@ class ShardedPipeline:
                     _fold_tree(states, clone_targets=False), new_k)
                 declared = new_k
                 cursor = 0     # the old rotation is meaningless at new K
-            pool = _proven(build_pool(backend, states,
-                                      transport=transport,
-                                      slot_updates=chunk_size,
-                                      faults=faults, policy=restarts))
+            pool = _proven(build_pool(backend, states, faults=faults,
+                                      policy=restarts))
         pipeline = cls.__new__(cls)
         pipeline.partition = partition
         pipeline.chunk_size = chunk_size
         pipeline.backend = backend
-        pipeline.transport = transport
         pipeline.faults = faults
         pipeline.restart_policy = restarts
         pipeline.updates_ingested = updates_ingested
@@ -799,7 +738,6 @@ class ShardedPipeline:
         pipeline._poisoned = False
         pipeline._merged_cache = None
         pipeline._delta_bases = OrderedDict()
-        pipeline._shm_fallbacks_base = 0
         pipeline._restarts_base = 0
         pipeline._shard_class = shard_class
         pipeline._k = declared

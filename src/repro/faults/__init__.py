@@ -1,7 +1,7 @@
 """Deterministic fault injection: seeded, replayable failure schedules.
 
 See :mod:`repro.faults.plan` for the model.  The production hooks live
-in :mod:`repro.engine.workers` (worker crashes, shm corruption),
+in :mod:`repro.engine.workers` (worker crashes),
 :mod:`repro.net.server` (ack delay, delta truncation) and
 :mod:`repro.net.client` (socket drops); the self-healing they exercise
 is the engine's supervised restart, the client's idempotent retry, the
@@ -15,10 +15,10 @@ follower's auto-resync and the service's degraded serving.
 (('worker.crash', 3),)
 """
 
-from .plan import (ACK_DELAY, DELTA_TRUNCATE, NO_FAULTS, SHM_SLOT_CORRUPT,
-                   SITES, SOCKET_DROP, WORKER_CRASH, FaultPlan, NoFaults)
+from .plan import (ACK_DELAY, DELTA_TRUNCATE, NO_FAULTS, SITES, SOCKET_DROP,
+                   WORKER_CRASH, FaultPlan, NoFaults)
 
 __all__ = [
     "ACK_DELAY", "DELTA_TRUNCATE", "FaultPlan", "NO_FAULTS", "NoFaults",
-    "SHM_SLOT_CORRUPT", "SITES", "SOCKET_DROP", "WORKER_CRASH",
+    "SITES", "SOCKET_DROP", "WORKER_CRASH",
 ]

@@ -35,10 +35,6 @@ import numpy as np
 #: raises and exits; serial backend: the shard state is torn down).
 WORKER_CRASH = "worker.crash"
 
-#: The shared-memory slot descriptor for a chunk arrives corrupted, so
-#: the worker's ``SlotRing.read`` rejects it and the worker crashes.
-SHM_SLOT_CORRUPT = "shm.slot_corrupt"
-
 #: The client socket dies after ``drop_after_bytes`` bytes of a request
 #: have been sent — the classic half-written-frame connection loss.
 SOCKET_DROP = "socket.drop_after_bytes"
@@ -51,10 +47,13 @@ DELTA_TRUNCATE = "delta.truncate"
 #: retry of an *already applied* batch (exercises the dedup window).
 ACK_DELAY = "ack.delay"
 
-#: Every fault site a plan may schedule, in a fixed order (the index is
-#: part of each site's RNG stream key, so the order is load-bearing).
-SITES = (WORKER_CRASH, SHM_SLOT_CORRUPT, SOCKET_DROP, DELTA_TRUNCATE,
-         ACK_DELAY)
+#: Every fault site a plan may schedule, each with the fixed id that
+#: keys its RNG stream.  Ids are never reused or renumbered: removing a
+#: site must not shift the schedules of the others (id 1 belonged to a
+#: retired shared-memory corruption site).
+_STREAM_IDS = {WORKER_CRASH: 0, SOCKET_DROP: 2, DELTA_TRUNCATE: 3,
+               ACK_DELAY: 4}
+SITES = tuple(_STREAM_IDS)
 
 
 class FaultPlan:
@@ -107,11 +106,11 @@ class FaultPlan:
                 raise ValueError(f"'at' visits for {site!r} are 1-based "
                                  f"and must be >= 1")
         # One independent stream per rate-scheduled site, keyed on
-        # (seed, site index): adding a site never perturbs another
-        # site's draws, which keeps schedules stable across plans.
+        # (seed, site id): adding or removing a site never perturbs
+        # another site's draws, which keeps schedules stable.
         self._rngs = {
             site: np.random.default_rng(
-                np.random.SeedSequence((self.seed, SITES.index(site))))
+                np.random.SeedSequence((self.seed, _STREAM_IDS[site])))
             for site in self._rates
         }
         self.visits = {site: 0 for site in SITES}

@@ -189,12 +189,10 @@ class SocketFollower:
 
     # -- take-over -----------------------------------------------------------
 
-    def promote(self, backend: str = "serial", shards: int = 1,
-                transport: str | None = None):
+    def promote(self, backend: str = "serial", shards: int = 1):
         """A live :class:`~repro.engine.pipeline.ShardedPipeline`
         holding the standby state (the follower stays usable)."""
-        return self.follower.promote(backend=backend, shards=shards,
-                                     transport=transport)
+        return self.follower.promote(backend=backend, shards=shards)
 
     def close(self) -> None:
         self._client.close()

@@ -122,7 +122,6 @@ class ServiceStats:
     prewarmed: int = 0             # results precomputed at refresh time
     prewarm_seconds: float = 0.0
     reshards: int = 0
-    shm_fallbacks: int = 0         # shm-transport chunks that rode pickle
     errors: int = 0                # failed requests / poisoned ingests
     degraded_queries: int = 0      # queries served from a stale snapshot
     recoveries: int = 0            # pipelines rebuilt from a snapshot
@@ -191,7 +190,6 @@ class ServiceStats:
             "prewarmed": self.prewarmed,
             "prewarm_seconds": self.prewarm_seconds,
             "reshards": self.reshards,
-            "shm_fallbacks": self.shm_fallbacks,
             "errors": self.errors,
             "degraded_queries": self.degraded_queries,
             "recoveries": self.recoveries,

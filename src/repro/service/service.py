@@ -27,8 +27,8 @@ degrades: queries keep answering from the newest good snapshot,
 typed, retryable :class:`ServiceDegraded`.  When the newest snapshot
 sits exactly at the last acked epoch (nothing acknowledged would be
 lost), the service *self-heals*: it rebuilds a fresh pipeline from
-that snapshot — same backend, shards, transport, fault plan and
-restart policy — swaps it in, re-applies the failed batch exactly
+that snapshot — same backend, shards, fault plan and restart
+policy — swaps it in, re-applies the failed batch exactly
 once, and flips back to ``ok`` automatically.
 """
 
@@ -132,15 +132,12 @@ class QueryService:
 
     @classmethod
     def from_checkpoint(cls, blob: bytes, backend: str = "serial",
-                        shards: int | None = None,
-                        transport: str | None = None,
-                        **kwargs) -> "QueryService":
+                        shards: int | None = None, **kwargs) -> "QueryService":
         """Boot a service straight from a pipeline checkpoint — a
         restored stream (or a remote site's blob) is queryable without
         its original factory or process."""
         return cls(ShardedPipeline.restore(blob, backend=backend,
-                                           shards=shards,
-                                           transport=transport), **kwargs)
+                                           shards=shards), **kwargs)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -209,7 +206,6 @@ class QueryService:
                 else start - self._last_ingest_start)
         self._last_ingest_start = start
         self.stats.record_ingest(count, end - start)
-        self.stats.shm_fallbacks = self.pipeline.shm_fallbacks
         self.stats.worker_restarts = self.pipeline.worker_restarts
         if self.monitor is not None:
             target = self.monitor.observe(count, span,
@@ -282,12 +278,11 @@ class QueryService:
     def _rebuild_from(self, snapshot: Snapshot) -> None:
         """Replace the poisoned pipeline with a fresh one holding the
         snapshot's state, preserving every execution knob (backend,
-        shards, transport, fault plan, restart policy)."""
+        shards, fault plan, restart policy)."""
         old = self.pipeline
         rebuilt = ShardedPipeline.restore(
             self.snapshot_frame(snapshot), backend=old.backend,
-            shards=old.shards, transport=old.transport,
-            faults=old.faults, restarts=old.restart_policy)
+            shards=old.shards, faults=old.faults, restarts=old.restart_policy)
         self.pipeline = rebuilt
         self.snapshots.pipeline = rebuilt
         self._last_ingest_start = None

@@ -15,8 +15,8 @@ import pytest
 
 from repro.engine import (RestartPolicy, ShardedPipeline, checkpoint,
                           checkpoint as snapshot_structure)
-from repro.faults import (ACK_DELAY, DELTA_TRUNCATE, SHM_SLOT_CORRUPT,
-                          SOCKET_DROP, WORKER_CRASH, FaultPlan)
+from repro.faults import (ACK_DELAY, DELTA_TRUNCATE, SOCKET_DROP,
+                          WORKER_CRASH, FaultPlan)
 from repro.net import (NetError, ReproClient, RetryPolicy, ServerThread,
                        SocketFollower)
 from repro.service import QueryService
@@ -29,15 +29,13 @@ POLICY = RestartPolicy(backoff_s=0.001)
 
 
 def _pipeline(case: EngineCase, backend: str, *, faults=None,
-              restarts=None, transport=None, shards=2, chunk=32,
+              restarts=None, shards=2, chunk=32,
               seed=5) -> ShardedPipeline:
     extra = {}
     if faults is not None:
         extra["faults"] = faults
     if restarts is not None:
         extra["restarts"] = restarts
-    if transport is not None:
-        extra["transport"] = transport
     return ShardedPipeline(lambda: case.factory(UNIVERSE, seed),
                            shards=shards, chunk_size=chunk,
                            backend=backend, **extra)
@@ -87,28 +85,6 @@ class TestCrashConvergence:
             assert pipe.worker_restarts == 2
             assert pipe.healthy
         assert plan.schedule() == ((WORKER_CRASH, 2), (WORKER_CRASH, 7))
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory transport: corrupted slot descriptors
-
-
-class TestShmCorruption:
-    CASE = SHARDABLE[0]                                  # CountSketch
-
-    def test_corrupt_slot_heals_byte_identical(self):
-        batches = _batches()
-        want = _oracle_bytes(self.CASE, batches)
-
-        plan = FaultPlan(seed=5, at={SHM_SLOT_CORRUPT: (3,)})
-        with _pipeline(self.CASE, "process", transport="shm",
-                       faults=plan, restarts=POLICY) as pipe:
-            for indices, deltas in batches:
-                pipe.ingest(indices, deltas)
-            assert _merged_bytes(pipe) == want
-            assert pipe.worker_restarts == 1
-            assert pipe.healthy
-        assert plan.schedule() == ((SHM_SLOT_CORRUPT, 3),)
 
 
 # ---------------------------------------------------------------------------

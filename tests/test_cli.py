@@ -122,17 +122,6 @@ class TestInProcess:
         assert "backend=process" in out
         assert "ingested 4000 updates" in out
 
-    def test_engine_transport_requires_process_backend(self, capsys):
-        assert main(["engine", "--structure", "l0", "-n", "256",
-                     "--updates", "500", "--transport", "shm"]) == 2
-        assert "requires --backend process" in capsys.readouterr().err
-
-    def test_serve_transport_requires_process_backend(self, capsys):
-        assert main(["serve", "--structure", "hh", "-n", "512",
-                     "--updates", "1000", "--batches", "2",
-                     "--transport", "pickle"]) == 2
-        assert "requires --backend process" in capsys.readouterr().err
-
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -308,10 +297,6 @@ class TestDaemonFlags:
                      "--listen", "127.0.0.1:0",
                      "--max-subscribers", "0"]) == 2
         assert "--max-subscribers must be >= 1" \
-            in capsys.readouterr().err
-        assert main(["daemon", "--listen", "127.0.0.1:0",
-                     "--transport", "shm"]) == 2
-        assert "--transport requires --backend process" \
             in capsys.readouterr().err
 
 

@@ -61,11 +61,14 @@ class TestQueryRNGContinuity:
     def test_l0_choice_rng_survives_checkpoint(self):
         """sample() consumes the choice RNG; a restored sampler must
         *continue* the draw sequence, not replay it from the seed."""
-        sampler = L0Sampler(256, delta=0.2, seed=8)
+        sampler = L0Sampler(256, delta=0.2, seed=4)
         rng = np.random.default_rng(3)
         sampler.update_many(rng.integers(0, 256, 120),
                             rng.integers(1, 5, 120))
-        for _ in range(3):
+        # A one-element level draws without touching the generator, so
+        # the test only means something when the level holds more.
+        assert sampler.sample().diagnostics["support_size"] > 1
+        for _ in range(2):
             sampler.sample()           # advance the choice RNG
         twin = restore(checkpoint(sampler))
         for _ in range(5):

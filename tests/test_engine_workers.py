@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core import L0Sampler
-from repro.engine import (IncompatibleShards, ShardedPipeline,
+from repro.engine import (IncompatibleShards, ProcessPool, ShardedPipeline,
                           WorkerCrashed, checkpoint, state_arrays)
+from repro.sketch import CountSketch
 
 from _engine_cases import (SHARDABLE, SHARDABLE_IDS, EngineCase,
                            random_turnstile, states_equal)
@@ -182,6 +183,40 @@ class TestMergedIsIdempotentUnderProcessBackend:
             pipeline.ingest(indices[32:], deltas[32:])
             merged = pipeline.merged()
         assert states_equal(single, merged, exact=True)
+
+
+class TestDirectSubmit:
+    """``ProcessPool.submit`` is public, so it takes chunks the pipeline
+    never routes; each must arrive and apply exactly as
+    ``update_many`` would apply it in-process."""
+
+    FACTORY = staticmethod(lambda: CountSketch(256, m=4, rows=3, seed=2))
+
+    def _applied(self, chunks):
+        pool = ProcessPool([checkpoint(self.FACTORY())])
+        try:
+            for indices, deltas in chunks:
+                pool.submit(0, indices, deltas)
+            pool.flush()
+            return pool.structures()[0]
+        finally:
+            pool.close()
+
+    def test_scalar_delta_broadcasts(self):
+        chunks = [(np.arange(8, dtype=np.int64), np.int64(2))]
+        twin = self.FACTORY()
+        twin.update_many(*chunks[0])
+        assert states_equal(twin, self._applied(chunks), exact=True)
+
+    def test_chunk_larger_than_a_pipeline_chunk(self):
+        # 10,000 updates: more than the pipeline's default 4096-update
+        # chunk, so only direct pool use can send this.
+        indices, deltas = random_turnstile(256, 10_000, 37)
+        chunks = [(indices, deltas), (indices[:5], deltas[:5])]
+        twin = self.FACTORY()
+        for chunk in chunks:
+            twin.update_many(*chunk)
+        assert states_equal(twin, self._applied(chunks), exact=True)
 
 
 class TestWorkerCrash:

@@ -15,8 +15,8 @@ import pytest
 
 from repro.engine import (RestartPolicy, ShardedPipeline, WorkerCrashed,
                           checkpoint)
-from repro.faults import (ACK_DELAY, NO_FAULTS, SITES, SOCKET_DROP,
-                          WORKER_CRASH, FaultPlan, NoFaults)
+from repro.faults import (ACK_DELAY, DELTA_TRUNCATE, NO_FAULTS, SITES,
+                          SOCKET_DROP, WORKER_CRASH, FaultPlan, NoFaults)
 from repro.net import RetryPolicy
 from repro.service import QueryService, ServiceDegraded
 from repro.sketch import CountSketch
@@ -78,6 +78,25 @@ class TestFaultPlan:
         paired = drops(FaultPlan(seed=3, rates={SOCKET_DROP: 0.1,
                                                 ACK_DELAY: 0.5}))
         assert alone == paired
+
+    @pytest.mark.parametrize("site, seed, visits", [
+        (WORKER_CRASH, 5, (5, 8, 9, 12, 20, 24)),
+        (WORKER_CRASH, 19, (4, 21, 22)),
+        (SOCKET_DROP, 5, (1, 5, 7, 8, 10, 17, 21)),
+        (SOCKET_DROP, 19, (1, 2, 3, 4, 5, 6, 8, 17, 23)),
+        (DELTA_TRUNCATE, 5, (2, 5, 6, 9, 10, 12, 13, 21, 22)),
+        (DELTA_TRUNCATE, 19, (10, 12, 17, 18, 20)),
+        (ACK_DELAY, 5, (2, 6, 11, 13, 16, 18, 21)),
+        (ACK_DELAY, 19, (6, 8, 14, 17, 19)),
+    ])
+    def test_rate_schedules_are_pinned(self, site, seed, visits):
+        """Each site's stream is keyed on a fixed id, so these
+        schedules (the chaos suite's seeds at rate 0.25) survive any
+        site being added or removed."""
+        plan = FaultPlan(seed=seed, rates={site: 0.25})
+        for _ in range(24):
+            plan.maybe_fire(site)
+        assert plan.schedule() == tuple((site, v) for v in visits)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown fault site"):
