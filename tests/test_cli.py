@@ -122,6 +122,19 @@ class TestInProcess:
         assert "backend=process" in out
         assert "ingested 4000 updates" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["engine", "--structure", "l0", "--backend", "process"],
+        ["serve", "--structure", "hh", "--backend", "process"],
+        ["daemon", "--listen", "127.0.0.1:0", "--backend", "process"],
+    ], ids=["engine", "serve", "daemon"])
+    def test_no_transport_flag(self, argv, capsys):
+        """Pickle queues are the only chunk transport, so no
+        subcommand offers a choice of one."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--transport", "pickle"])
+        assert exit_info.value.code == 2
+        assert "--transport" in capsys.readouterr().err
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from repro.core import L0Sampler
-from repro.engine import (IncompatibleShards, ProcessPool, ShardedPipeline,
+from repro.engine import (IncompatibleShards, ProcessPool, RestartPolicy,
+                          SerialPool, ShardedPipeline, Supervisor,
                           WorkerCrashed, checkpoint, state_arrays)
+from repro.engine import workers as workers_module
 from repro.sketch import CountSketch
 
 from _engine_cases import (SHARDABLE, SHARDABLE_IDS, EngineCase,
@@ -412,3 +414,314 @@ class TestDeltaRangeGuards:
             pipeline.ingest([1], np.array([2.0 ** 63]))
         with pytest.raises(ValueError, match="int64"):
             pipeline.ingest(np.array([2.0 ** 63]), [1])
+
+
+class _FakePool:
+    """The three operations a :class:`Supervisor` calls, recorded.
+
+    ``crashes`` delivers raise :class:`WorkerCrashed` before any
+    succeeds, so replay-time crashes can be staged exactly.
+    """
+
+    def __init__(self, crashes=0):
+        self.calls = []
+        self.crashes = crashes
+
+    def _snapshot(self, shards):
+        shards = list(shards)
+        self.calls.append(("snapshot", tuple(shards)))
+        return [f"snap-{shard}".encode() for shard in shards]
+
+    def _respawn(self, shard, blob):
+        self.calls.append(("respawn", shard, blob))
+
+    def _deliver(self, shard, indices, deltas):
+        if self.crashes:
+            self.crashes -= 1
+            raise WorkerCrashed("dead again", shard=shard)
+        self.calls.append(("deliver", shard, list(indices), list(deltas)))
+
+
+class TestSupervisor:
+    """The healing bookkeeping both pools share, against a fake pool:
+    bases, the chunk log, per-shard budgets and backoff."""
+
+    @staticmethod
+    def _supervisor(policy=None, shards=2):
+        policy = policy or RestartPolicy(backoff_s=0.0)
+        return Supervisor(policy, [f"base-{s}".encode()
+                                   for s in range(shards)])
+
+    def test_unsupervised_is_inert_and_escalates_at_once(self):
+        supervisor = Supervisor(None, iter(()))
+        pool = _FakePool()
+        supervisor.record(pool, 0, [1], [1])
+        supervisor.commit(pool)
+        supervisor.adopt([0], [b"x"])
+        assert pool.calls == []
+        with pytest.raises(WorkerCrashed, match="supervision is off") as err:
+            supervisor.heal(pool, WorkerCrashed("boom", shard=1))
+        assert err.value.shard == 1
+        assert "supervision is off" in supervisor.fatal
+        assert supervisor.restarts == 0 and pool.calls == []
+
+    def test_record_keeps_a_private_copy_of_the_chunk(self):
+        supervisor = self._supervisor()
+        pool = _FakePool()
+        indices = np.array([3, 4], dtype=np.int64)
+        deltas = np.array([1, -1], dtype=np.int64)
+        supervisor.record(pool, 0, indices, deltas)
+        indices[:] = 99          # caller reuses its buffers
+        deltas[:] = 7
+        supervisor.heal(pool, WorkerCrashed("x", shard=0))
+        assert pool.calls[-1] == ("deliver", 0, [3, 4], [1, -1])
+
+    def test_full_log_rebases_that_shard_first(self):
+        supervisor = self._supervisor(RestartPolicy(backoff_s=0.0,
+                                                    log_limit=2))
+        pool = _FakePool()
+        for value in range(3):
+            supervisor.record(pool, 1, [value], [1])
+        # the third chunk found a full log: shard 1 (only) re-based
+        assert pool.calls == [("snapshot", (1,))]
+        supervisor.heal(pool, WorkerCrashed("x", shard=1))
+        assert pool.calls[1:] == [("respawn", 1, b"snap-1"),
+                                  ("deliver", 1, [2], [1])]
+
+    def test_commit_snapshots_only_dirty_shards(self):
+        supervisor = self._supervisor(shards=3)
+        pool = _FakePool()
+        supervisor.record(pool, 2, [5], [1])
+        supervisor.commit(pool)
+        assert pool.calls == [("snapshot", (2,))]
+        # committed chunks are never replayed
+        supervisor.heal(pool, WorkerCrashed("x", shard=2))
+        assert pool.calls[1:] == [("respawn", 2, b"snap-2")]
+
+    def test_commit_with_nothing_logged_takes_no_snapshot(self):
+        supervisor = self._supervisor()
+        pool = _FakePool()
+        supervisor.commit(pool)
+        assert pool.calls == []
+
+    def test_adopt_sets_the_base_and_clears_the_log(self):
+        supervisor = self._supervisor()
+        pool = _FakePool()
+        supervisor.record(pool, 0, [1], [1])
+        supervisor.record(pool, 1, [2], [1])
+        supervisor.adopt([0], [bytearray(b"fresh")])
+        supervisor.heal(pool, WorkerCrashed("x", shard=0))
+        supervisor.heal(pool, WorkerCrashed("x", shard=1))
+        assert pool.calls == [("respawn", 0, b"fresh"),
+                              ("respawn", 1, b"base-1"),
+                              ("deliver", 1, [2], [1])]
+        assert type(pool.calls[0][2]) is bytes
+
+    def test_heal_replays_the_log_in_submission_order(self):
+        supervisor = self._supervisor()
+        pool = _FakePool()
+        for value in (7, 3, 5):
+            supervisor.record(pool, 0, [value], [value])
+        supervisor.heal(pool, WorkerCrashed("x", shard=0))
+        assert pool.calls == [("respawn", 0, b"base-0"),
+                              ("deliver", 0, [7], [7]),
+                              ("deliver", 0, [3], [3]),
+                              ("deliver", 0, [5], [5])]
+        assert supervisor.restarts == 1 and supervisor.fatal is None
+
+    def test_crash_during_replay_restarts_again(self):
+        supervisor = self._supervisor(RestartPolicy(max_restarts=3,
+                                                    backoff_s=0.0))
+        pool = _FakePool(crashes=2)
+        supervisor.record(pool, 0, [1], [1])
+        supervisor.heal(pool, WorkerCrashed("x", shard=0))
+        assert [call[0] for call in pool.calls] == \
+            ["respawn", "respawn", "respawn", "deliver"]
+        # one heal, three attempts of the shard's budget
+        assert supervisor.restarts == 1
+        with pytest.raises(WorkerCrashed, match="budget is spent"):
+            supervisor.heal(pool, WorkerCrashed("x", shard=0))
+
+    def test_spent_budget_escalates_and_records_why(self):
+        supervisor = self._supervisor(RestartPolicy(max_restarts=1,
+                                                    backoff_s=0.0))
+        pool = _FakePool()
+        supervisor.heal(pool, WorkerCrashed("first", shard=0))
+        with pytest.raises(WorkerCrashed, match="budget is spent") as err:
+            supervisor.heal(pool, WorkerCrashed("second", shard=0))
+        assert err.value.shard == 0
+        assert "shard 0" in supervisor.fatal
+        assert "second" in supervisor.fatal
+        assert supervisor.restarts == 1
+
+    def test_zero_budget_escalates_on_the_first_crash(self):
+        supervisor = self._supervisor(RestartPolicy(max_restarts=0))
+        pool = _FakePool()
+        with pytest.raises(WorkerCrashed, match="budget is spent"):
+            supervisor.heal(pool, WorkerCrashed("x", shard=1))
+        assert pool.calls == []
+
+    def test_budgets_are_per_shard(self):
+        supervisor = self._supervisor(RestartPolicy(max_restarts=1,
+                                                    backoff_s=0.0))
+        pool = _FakePool()
+        supervisor.heal(pool, WorkerCrashed("x", shard=0))
+        supervisor.heal(pool, WorkerCrashed("x", shard=1))
+        assert supervisor.restarts == 2
+        with pytest.raises(WorkerCrashed):
+            supervisor.heal(pool, WorkerCrashed("x", shard=1))
+
+    def test_backoff_grows_per_attempt(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(workers_module.time, "sleep", slept.append)
+        policy = RestartPolicy(max_restarts=3, backoff_s=0.5,
+                               backoff_factor=3.0)
+        supervisor = self._supervisor(policy)
+        pool = _FakePool(crashes=1)
+        supervisor.record(pool, 0, [1], [1])
+        supervisor.heal(pool, WorkerCrashed("x", shard=0))
+        supervisor.heal(pool, WorkerCrashed("x", shard=1))
+        assert slept == [0.5, 1.5, 0.5]
+        assert [policy.delay(n) for n in range(3)] == [0.5, 1.5, 4.5]
+
+
+class TestSupervisedProcessPool:
+    """A worker killed from outside (no traceback, no poison pill) is
+    healed by whichever pool call meets it first, and the healed shard
+    holds exactly what a crash-free serial pool holds."""
+
+    FACTORY = staticmethod(lambda: CountSketch(256, m=4, rows=3, seed=2))
+    POLICY = RestartPolicy(backoff_s=0.0)
+
+    def _chunks(self, count=4, seed=41):
+        indices, deltas = random_turnstile(256, 32 * count, seed)
+        return [(indices[k::count], deltas[k::count]) for k in range(count)]
+
+    @staticmethod
+    def _kill(pool, shard):
+        victim = pool._workers[shard].process
+        victim.kill()
+        victim.join(10)
+
+    def _serial_blobs(self, chunks, shards=2):
+        pool = SerialPool([self.FACTORY() for _ in range(shards)])
+        for k, (indices, deltas) in enumerate(chunks):
+            pool.submit(k % shards, indices, deltas)
+        return pool.snapshots()
+
+    def _run(self, chunks, kill_before, shards=2):
+        """Submit ``chunks`` round-robin, killing shard 0 just before
+        step ``kill_before`` ("submit" index, "flush" or "snapshots")."""
+        pool = ProcessPool([checkpoint(self.FACTORY())
+                            for _ in range(shards)], policy=self.POLICY)
+        try:
+            for k, (indices, deltas) in enumerate(chunks):
+                if kill_before == k:
+                    self._kill(pool, 0)
+                pool.submit(k % shards, indices, deltas)
+            if kill_before == "flush":
+                self._kill(pool, 0)
+            pool.flush()
+            if kill_before == "snapshots":
+                self._kill(pool, 0)
+            blobs = pool.snapshots()
+            return blobs, pool.supervisor.restarts
+        finally:
+            pool.close()
+
+    @pytest.mark.parametrize("kill_before", [0, 2, "flush", "snapshots"])
+    def test_kill_heals_byte_identical(self, kill_before):
+        chunks = self._chunks()
+        blobs, restarts = self._run(chunks, kill_before)
+        assert blobs == self._serial_blobs(chunks)
+        assert restarts == 1
+
+    def test_kill_after_a_flush_replays_nothing_stale(self):
+        """The flush re-based the shard, so the heal restores the
+        flushed state and replays only what came after it."""
+        chunks = self._chunks(count=6)
+        pool = ProcessPool([checkpoint(self.FACTORY()) for _ in range(2)],
+                           policy=self.POLICY)
+        try:
+            for k, (indices, deltas) in enumerate(chunks[:4]):
+                pool.submit(k % 2, indices, deltas)
+            pool.flush()
+            assert all(not log for log in pool.supervisor._logs)
+            pool.submit(0, *chunks[4])
+            self._kill(pool, 0)
+            pool.submit(1, *chunks[5])
+            blobs = pool.snapshots()
+            assert pool.supervisor.restarts == 1
+        finally:
+            pool.close()
+        assert blobs == self._serial_blobs(chunks)
+
+    def test_kill_behind_a_backlogged_inbox_heals(self):
+        """More chunks in flight to one shard than its queue holds:
+        the log, not the dead worker's inbox, is what gets replayed."""
+        chunks = self._chunks(count=12)
+        pool = ProcessPool([checkpoint(self.FACTORY())],
+                           policy=self.POLICY)
+        try:
+            for k, chunk in enumerate(chunks):
+                if k == 6:
+                    self._kill(pool, 0)
+                pool.submit(0, *chunk)
+            blobs = pool.snapshots()
+            assert pool.supervisor.restarts == 1
+        finally:
+            pool.close()
+        assert blobs == self._serial_blobs(chunks, shards=1)
+
+    def test_spent_budget_poisons_the_pool(self):
+        pool = ProcessPool([checkpoint(self.FACTORY()) for _ in range(2)],
+                           policy=RestartPolicy(max_restarts=0))
+        try:
+            pool.submit(1, *self._chunks()[0])
+            self._kill(pool, 1)
+            with pytest.raises(WorkerCrashed, match="budget is spent"):
+                pool.flush()
+            # every later call names the original failure
+            for call in (pool.flush, pool.snapshots,
+                         lambda: pool.submit(0, [1], [1])):
+                with pytest.raises(WorkerCrashed, match="shard 1 crashed"):
+                    call()
+        finally:
+            pool.close()
+
+    def test_closed_pool_refuses_work(self):
+        pool = ProcessPool([checkpoint(self.FACTORY())], policy=self.POLICY)
+        pool.close()
+        for call in (pool.flush, pool.snapshots,
+                     lambda: pool.submit(0, [1], [1])):
+            with pytest.raises(RuntimeError, match="closed"):
+                call()
+
+
+@pytest.mark.parametrize("case", SHARDABLE, ids=SHARDABLE_IDS)
+class TestSupervisedDirectSubmit:
+    def test_killed_worker_heals_to_the_serial_bytes(self, case):
+        """Direct pool use, for every shardable type: uneven chunks
+        (one longer than a pipeline chunk) with a worker killed
+        mid-stream; the supervised process pool's snapshots equal a
+        crash-free serial pool's, byte for byte."""
+        indices, deltas = random_turnstile(128, 5000, 43)
+        cuts = [0, 7, 4500, 4531, 5000]
+        chunks = [(indices[a:b], deltas[a:b])
+                  for a, b in zip(cuts, cuts[1:])]
+        route = [0, 1, 0, 0]
+
+        serial = SerialPool([case.factory(128, 5) for _ in range(2)])
+        pool = ProcessPool([checkpoint(case.factory(128, 5))
+                            for _ in range(2)],
+                           policy=RestartPolicy(backoff_s=0.0))
+        try:
+            for k, (shard, chunk) in enumerate(zip(route, chunks)):
+                if k == 2:
+                    TestSupervisedProcessPool._kill(pool, 0)
+                pool.submit(shard, *chunk)
+                serial.submit(shard, *chunk)
+            assert pool.snapshots() == serial.snapshots()
+            assert pool.supervisor.restarts == 1
+        finally:
+            pool.close()

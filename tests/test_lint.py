@@ -168,6 +168,32 @@ class TestRuleFixtures:
         orphan = [f for f in findings if f.path.endswith("engine/shm.py")]
         assert len(orphan) == 1 and "close()" in orphan[0].message
 
+    def test_r004_default_allows_shared_memory_nowhere(self, tmp_path):
+        """With no ``shm_modules`` configured, even the worker module
+        (the one place multiprocessing is allowed) may not construct
+        SharedMemory."""
+        assert LintConfig().shm_modules == ()
+        root = _mini_project(tmp_path, {"engine/workers.py": """\
+            from multiprocessing.shared_memory import SharedMemory
+
+            class Ring:
+                def __init__(self, size):
+                    self._shm = SharedMemory(create=True, size=size)
+
+                def close(self):
+                    self._shm.close()
+                    self._shm.unlink()
+        """})
+        ini = root / "pytest.ini"
+        ini.write_text("".join(
+            line for line in ini.read_text().splitlines(keepends=True)
+            if not line.startswith("shm_modules")))
+        findings = _lint(root, only={"R004"})
+        assert findings and all(f.rule == "R004" for f in findings)
+        assert all(f.path.endswith("engine/workers.py") for f in findings)
+        assert any("outside the shm_modules allowlist" in f.message
+                   for f in findings)
+
     def test_r004_passes_owned_lifecycle(self, tmp_path):
         root = _mini_project(tmp_path, {"engine/shm.py": """\
             from multiprocessing.shared_memory import SharedMemory

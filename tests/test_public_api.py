@@ -29,6 +29,19 @@ class TestImports:
         for export in getattr(module, "__all__", []):
             assert hasattr(module, export), f"{name}.{export}"
 
+    def test_engine_has_one_chunk_transport(self):
+        """The shared-memory ring and the option that chose it are
+        gone; pickle queues are the process backend's only transport."""
+        engine = importlib.import_module("repro.engine")
+        for name in ("SlotRing", "TRANSPORTS"):
+            assert not hasattr(engine, name), name
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.engine.shm")
+        for func in (engine.ShardedPipeline.__init__,
+                     engine.ShardedPipeline.restore,
+                     engine.ShardedPipeline.reshard, engine.build_pool):
+            assert "transport" not in inspect.signature(func).parameters
+
     def test_version(self):
         assert repro.__version__ == "1.0.0"
 
